@@ -106,8 +106,12 @@ class CampaignCheckpoint:
         config,
         execution: Optional[Dict] = None,
         resume: str = "never",
+        plan=None,
     ) -> "CampaignCheckpoint":
         """Create or adopt the checkpoint at *directory*.
+
+        *plan* is the config's :class:`~repro.core.plan.WorldPlan` when
+        the caller already derived it (see :func:`campaign_fingerprint`).
 
         *resume* is the CLI contract:
 
@@ -121,7 +125,7 @@ class CampaignCheckpoint:
         """
         if resume not in ("never", "auto", "force"):
             raise ValueError("resume must be 'never', 'auto' or 'force'")
-        fingerprint = campaign_fingerprint(config, execution)
+        fingerprint = campaign_fingerprint(config, execution, plan)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         existing = cls._read_manifest(manifest_path)
 

@@ -34,14 +34,21 @@ __all__ = ["campaign_fingerprint"]
 FORMAT_VERSION = 1
 
 
-def campaign_fingerprint(config, execution: Optional[Dict] = None) -> str:
+def campaign_fingerprint(
+    config,
+    execution: Optional[Dict] = None,
+    plan: Optional[WorldPlan] = None,
+) -> str:
     """Stable hex digest identifying one resumable campaign.
 
     *execution* is a plain JSON-able dict describing the execution
     shape (mode, shard count, Atlas parameters...); ``None`` means the
-    bare serial campaign with defaults.
+    bare serial campaign with defaults.  *plan* is the config's
+    :class:`WorldPlan` when the caller already derived it; ``None``
+    fits it here.
     """
-    plan = WorldPlan.for_config(config)
+    if plan is None:
+        plan = WorldPlan.for_config(config)
     material = "\n".join(
         [
             "format:{}".format(FORMAT_VERSION),

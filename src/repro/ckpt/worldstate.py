@@ -183,8 +183,17 @@ def restore_world_state(world: World, state: Dict) -> None:
     sim.events_executed = state["sim"]["events_executed"]
     world.rng.setstate(_rng_state(state["world_rng"]))
 
-    hosts = world.network._hosts
-    for ip, next_port in state["ephemeral_ports"].items():
+    # Hosts attached after the capture (RIPE Atlas probes) go away,
+    # and so does per-channel FIFO bookkeeping, whose arrival times
+    # may lie past the restored clock.
+    network = world.network
+    saved_ports = state["ephemeral_ports"]
+    attached_since = [ip for ip in network._hosts if ip not in saved_ports]
+    if attached_since:
+        network.detach_hosts(attached_since)
+    network.forget_flow_state()
+    hosts = network._hosts
+    for ip, next_port in saved_ports.items():
         hosts[ip]._next_ephemeral = next_port
 
     resolvers = list(_resolvers(world))

@@ -11,10 +11,10 @@ the static country tables, untouched by the world's RNG stream:
 * which countries resolve through off-shore hubs, and which hub city
   each one uses (a nearest-hub sweep per remote country).
 
-In the sharded executor every worker process rebuilds the same world
-from scratch, so this block used to run ``num_shards + 1`` times.  A
-:class:`WorldPlan` computes it once in the parent and travels to the
-workers inside each task — it is plain picklable data, no simulator
+In the sharded executor every worker builds the same world from
+scratch, so this block used to run ``num_shards + 1`` times.  A
+:class:`WorldPlan` computes it once in the parent and reaches the
+workers with the pool prime — it is plain picklable data, no simulator
 state.  Because every value is exactly what the worker would have
 computed itself, worlds built with and without a plan are identical,
 and the dataset bytes cannot change.

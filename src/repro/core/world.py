@@ -16,7 +16,7 @@ Assembles, in dependency order:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dns.authoritative import AuthoritativeServer
@@ -51,7 +51,7 @@ from repro.proxy.population import (
 from repro.proxy.superproxy import SuperProxy
 from repro.core.config import ReproConfig
 
-__all__ = ["World", "build_world"]
+__all__ = ["World", "build_world", "install_faults"]
 
 #: Anycast service addresses for shared DNS infrastructure.
 ROOT_VIP = "10.53.1.1"
@@ -165,12 +165,6 @@ def build_world(
     network = Network(sim, rng, latency=LatencyModel(config.latency))
     allocator = IpAllocator()
     geolocation = GeolocationService(error_rate=config.geolocation_error_rate)
-
-    # -- fault injection (None for a healthy Internet) ---------------------
-    fault_injector: Optional[FaultInjector] = None
-    if config.faults is not None:
-        fault_injector = FaultInjector(config.faults, config.seed)
-        network.burst_loss = fault_injector.make_burst_loss()
 
     domain = config.measurement_domain
     # -- shared DNS infrastructure: root and TLD anycast ------------------
@@ -312,7 +306,6 @@ def build_world(
             warm_records,
             config=pconfig,
         )
-        providers[pconfig.name].fault_injector = fault_injector
 
     # -- BrightData ------------------------------------------------------------
     proxy_network = ProxyNetwork(rng)
@@ -331,7 +324,6 @@ def build_world(
         sp_resolver.warm(warm_records)
         super_proxy = SuperProxy(sp_host, proxy_network, rng,
                                  resolver=sp_resolver)
-        super_proxy.fault_injector = fault_injector
         super_proxy.start()
         proxy_network.add_super_proxy(super_proxy)
         super_proxies.append(super_proxy)
@@ -349,14 +341,11 @@ def build_world(
         provider_records=provider_a_records,
         plan=plan,
     )
-    if fault_injector is not None:
-        for node in population.nodes:
-            node.fault_injector = fault_injector
 
     # -- the measurement client (a university machine in the USA) ---------
     client_host = _dc_host(network, allocator, "measurement-client", ashburn)
 
-    return World(
+    world = World(
         config=config,
         sim=sim,
         network=network,
@@ -374,5 +363,33 @@ def build_world(
         super_proxies=super_proxies,
         population=population,
         client_host=client_host,
-        fault_injector=fault_injector,
     )
+    install_faults(world, config)
+    return world
+
+
+def install_faults(world: World, config: ReproConfig) -> None:
+    """Wire a fresh fault injector for *config* into every component.
+
+    Providers, super proxies, exit nodes and the network fabric's
+    burst-loss chain all get the injector of ``config.faults`` (None
+    for a healthy Internet), and *config* becomes ``world.config``.
+    Nothing else in a world depends on the fault plan, so a world
+    built for one plan and re-targeted here measures exactly like a
+    fresh build for *config*.  Precondition: *config* differs from
+    ``world.config`` in nothing but its fault plan.
+    """
+    injector: Optional[FaultInjector] = None
+    if config.faults is not None:
+        injector = FaultInjector(config.faults, config.seed)
+    world.config = config
+    world.fault_injector = injector
+    world.network.burst_loss = (
+        injector.make_burst_loss() if injector is not None else None
+    )
+    for provider in world.providers.values():
+        provider.fault_injector = injector
+    for proxy in world.super_proxies:
+        proxy.fault_injector = injector
+    for node in world.population.nodes:
+        node.fault_injector = injector

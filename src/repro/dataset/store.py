@@ -161,10 +161,16 @@ class Dataset:
             min_clients_per_country=data.get("min_clients_per_country", 10),
         )
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, payload: Optional[Dict] = None) -> None:
         """Write the dataset as JSON to *path* (atomically: a kill
-        mid-save never leaves a truncated dataset behind)."""
-        atomic_write_json(path, self.to_json())
+        mid-save never leaves a truncated dataset behind).
+
+        *payload* is this dataset's :meth:`to_json` form when the caller
+        already built it.
+        """
+        atomic_write_json(
+            path, self.to_json() if payload is None else payload
+        )
 
     @classmethod
     def load(cls, path: str) -> "Dataset":

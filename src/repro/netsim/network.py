@@ -75,6 +75,19 @@ class Network:
         """Whether a host is attached at *ip*."""
         return ip in self._hosts
 
+    def detach_hosts(self, ips) -> None:
+        """Detach the hosts at *ips* along with their port bindings.
+
+        Only safe when no message to or from them is in flight (a
+        drained event queue).
+        """
+        ips = set(ips)
+        for ip in ips:
+            del self._hosts[ip]
+        for table in (self.udp_ports, self.tcp_ports):
+            for key in [key for key in table if key[0] in ips]:
+                del table[key]
+
     # -- anycast ----------------------------------------------------------
 
     def register_anycast(

@@ -3,13 +3,14 @@
 Splits the exit-node fleet into deterministic shards, runs each
 shard's campaign in a worker process, and merges the results into a
 single dataset that is byte-identical for any worker count.
-Multi-worker runs dispatch through a persistent
-:class:`~repro.parallel.pool.WarmWorkerPool` (config/plan shipped once
-via shared memory, worlds built once per worker and restored per task,
-samples returned as packed binary blobs — see
-:mod:`repro.parallel.wirepack`); campaigns below the break-even size
-fall back to inline execution.  See ``docs/performance.md`` for the
-architecture and the seed-derivation rules.
+Every run dispatches through a pool: a persistent
+:class:`~repro.parallel.pool.WarmWorkerPool` of worker processes
+(config/plan shipped once via shared memory, samples returned as
+packed binary blobs — see :mod:`repro.parallel.wirepack`), or the
+zero-process :class:`~repro.parallel.pool.InlinePool` for one worker
+and for campaigns below the break-even size.  Each worker builds its
+world once and restores it per task.  See ``docs/performance.md`` for
+the architecture and the seed-derivation rules.
 """
 
 from repro.parallel.executor import (
@@ -18,13 +19,7 @@ from repro.parallel.executor import (
     default_worker_count,
     run_parallel_campaign,
 )
-from repro.parallel.pool import (
-    PooledAtlasTask,
-    PooledShardTask,
-    WarmWorkerPool,
-    run_pooled_atlas,
-    run_pooled_shard,
-)
+from repro.parallel.pool import InlinePool, WarmWorkerPool
 from repro.parallel.sharding import (
     DEFAULT_NUM_SHARDS,
     ShardSpec,
@@ -40,6 +35,7 @@ from repro.parallel.worker import (
     AtlasTask,
     ShardResult,
     ShardTask,
+    WarmWorld,
     run_atlas_task,
     run_measurement_shard,
 )
@@ -47,14 +43,14 @@ from repro.parallel.worker import (
 __all__ = [
     "AtlasTask",
     "DEFAULT_NUM_SHARDS",
+    "InlinePool",
     "PackedShardResult",
-    "PooledAtlasTask",
-    "PooledShardTask",
     "ShardExecutionError",
     "ShardResult",
     "ShardSpec",
     "ShardTask",
     "WarmWorkerPool",
+    "WarmWorld",
     "break_even_shard_nodes",
     "default_worker_count",
     "make_shards",
@@ -62,8 +58,6 @@ __all__ = [
     "run_atlas_task",
     "run_measurement_shard",
     "run_parallel_campaign",
-    "run_pooled_atlas",
-    "run_pooled_shard",
     "shard_items",
     "unpack_shard_result",
 ]

@@ -18,33 +18,34 @@ worker count**, because
   run_index, provider)``, Do53 by ``(node_id, run_index)``, clients by
   ``node_id`` — with shard index as the stable tiebreak.
 
-``workers=1`` runs the same shard tasks inline in this process, so it
-is the reference execution the parity tests compare against.
-
-Multi-worker runs dispatch through a persistent
+Every run dispatches the same shard and Atlas tasks through a pool
+(:mod:`repro.parallel.pool`).  ``workers=1`` uses the
+:class:`~repro.parallel.pool.InlinePool`, which runs them in this
+process; more workers use a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool`: worker processes are
 spawned once, receive the pickled ``(config, WorldPlan)`` pair once
-through shared memory (:meth:`WarmWorkerPool.prime`), build their
-world once and restore a pristine snapshot per task, and ship samples
-back as one packed binary blob per shard
-(:mod:`repro.parallel.wirepack`).  A worker that crashes or hangs is
-respawned (terminate→kill escalation, never a deadlocked shutdown) and
-its task retried up to ``max_shard_retries`` times; a task that keeps
-failing raises :class:`ShardExecutionError` naming it — the executor
-never hangs and never fails anonymously.  Retries are safe because
-shard execution is a pure function of ``(config, spec)``.
+through shared memory (:meth:`WarmWorkerPool.prime`), and ship
+samples back as one packed binary blob per shard
+(:mod:`repro.parallel.wirepack`).  Either way each worker builds its
+world once and restores a pristine snapshot per task.  A worker
+process that crashes or hangs is respawned (terminate→kill escalation,
+never a deadlocked shutdown) and its task retried up to
+``max_shard_retries`` times; a task that keeps failing raises
+:class:`ShardExecutionError` naming it — the executor never hangs and
+never fails anonymously.  Retries are safe because shard execution is
+a pure function of ``(config, spec)``.
 
-Small campaigns fall back to inline execution automatically: below
+Small campaigns fall back to the inline pool automatically: below
 :func:`break_even_shard_nodes` nodes per shard (measured break-even —
-pool spawn + prime + per-worker world build costs more than it saves)
-the pool is skipped entirely unless the caller forces it or supplies
+process spawn + prime + per-worker world build costs more than it
+saves) no process is spawned unless the caller forces it or supplies
 an already-warm pool.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Union
 
 from repro.ckpt.checkpoint import CampaignCheckpoint
 from repro.core.campaign import AtlasRawSample, CampaignResult
@@ -54,18 +55,8 @@ from repro.dataset.builder import DatasetBuilder
 from repro.geo.geolocate import GeolocationService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
-from repro.parallel.pool import (
-    PooledAtlasTask,
-    PooledShardTask,
-    WarmWorkerPool,
-    run_pooled_atlas,
-    run_pooled_shard,
-)
-from repro.parallel.sharding import (
-    DEFAULT_NUM_SHARDS,
-    ShardSpec,
-    make_shards,
-)
+from repro.parallel.pool import InlinePool, WarmWorkerPool, WorkItem
+from repro.parallel.sharding import DEFAULT_NUM_SHARDS, make_shards
 from repro.parallel.wirepack import unpack_atlas_samples, unpack_shard_result
 from repro.parallel.worker import (
     AtlasTask,
@@ -83,9 +74,6 @@ __all__ = [
 ]
 
 ProgressFn = Callable[[int, int], None]
-
-#: One unit of worker work: ``(function, argument, label)``.
-WorkItem = Tuple[Callable, object, str]
 
 
 def default_worker_count() -> int:
@@ -142,32 +130,6 @@ def break_even_shard_nodes() -> int:
         return DEFAULT_BREAK_EVEN_SHARD_NODES
 
 
-def _execute_tasks(
-    items: Sequence[WorkItem],
-    workers: int,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    tick: Optional[Callable[[], None]] = None,
-) -> List[object]:
-    """Run every item's ``fn(arg)`` across *workers* processes.
-
-    A convenience wrapper that runs one batch on a throwaway
-    :class:`WarmWorkerPool` — same crash/hang/retry semantics as the
-    pooled campaign path, without the warm-state reuse.  Kept as the
-    generic work-dispatch entry point (the resilience tests drive it
-    with arbitrary functions).
-    """
-    if not items:
-        return []
-    pool = WarmWorkerPool(min(workers, len(items)))
-    try:
-        return pool.run_items(
-            items, timeout_s=timeout_s, max_retries=max_retries, tick=tick
-        )
-    finally:
-        pool.close()
-
-
 def run_parallel_campaign(
     config: ReproConfig,
     workers: Optional[int] = 1,
@@ -184,17 +146,18 @@ def run_parallel_campaign(
     run_index_offset: int = 0,
     client_seed_offset: int = 0,
     name_prefix: str = "",
-    pool: Optional[WarmWorkerPool] = None,
+    pool: Optional[Union[WarmWorkerPool, InlinePool]] = None,
     force_pool: bool = False,
     break_even_nodes: Optional[int] = None,
+    plan: Optional[WorldPlan] = None,
 ) -> CampaignResult:
     """Run the full campaign across *workers* processes.
 
     ``workers=None`` sizes the pool to the CPUs available to this
     process (:func:`default_worker_count`).  When the effective worker
-    count is 1, every task runs inline in this process — no pool, no
-    spawn, no pickling — which is both the fastest single-core
-    execution and the reference the parity tests compare against.
+    count is 1, every task runs in this process on an
+    :class:`~repro.parallel.pool.InlinePool` — no spawn, no pickling —
+    the fastest single-core execution.
 
     *num_shards* fixes the fleet partition (default
     :data:`DEFAULT_NUM_SHARDS`); it is part of the experiment
@@ -203,7 +166,7 @@ def run_parallel_campaign(
     total_tasks)`` as shard/Atlas tasks complete.  *shard_timeout_s*
     arms the hung-worker watchdog (None = wait forever);
     *max_shard_retries* bounds per-task retries after a worker crash,
-    hang or exception.
+    hang or exception.  Both apply to worker processes only.
 
     *observe* runs every shard with the observability layer on; the
     merged result then carries summed counters, merged histograms and
@@ -223,17 +186,18 @@ def run_parallel_campaign(
     query-name tags so distinct campaigns stay structurally disjoint.
     All three are part of the checkpoint fingerprint.
 
-    *pool*, if given, is an already-running :class:`WarmWorkerPool`
-    this campaign dispatches through (and leaves running — the caller
-    owns its lifetime; the service supervisor reuses one pool across
-    epochs this way).  Without one, a multi-worker run creates a
-    temporary pool — unless the predicted per-shard workload is below
-    :func:`break_even_shard_nodes` (*break_even_nodes* overrides the
-    threshold), in which case it falls back to inline execution so
-    small campaigns never pay pool overhead.  *force_pool* disables
-    the fallback (the parity and benchmark suites need the pooled path
-    exercised at any scale).  None of these affect the dataset: pooled
-    and inline execution are byte-identical by construction.
+    *pool*, if given, is an already-running pool this campaign
+    dispatches through (and leaves running — the caller owns its
+    lifetime; the service supervisor reuses one pool, and so one warm
+    world per worker, across epochs this way).  Without one, the run
+    creates a temporary pool — inline when the predicted per-shard
+    workload is below :func:`break_even_shard_nodes` (*break_even_nodes*
+    overrides the threshold), so small campaigns never pay process
+    overhead.  *force_pool* disables that fallback (the parity and
+    benchmark suites need the process pool exercised at any scale).
+    *plan* is the config's :class:`WorldPlan` when the caller already
+    derived it.  None of these affect the dataset: every pool is
+    byte-identical by construction.
     """
     if workers is None:
         workers = default_worker_count()
@@ -246,14 +210,15 @@ def run_parallel_campaign(
 
     # The deterministic, RNG-free slice of every world build, computed
     # once here instead of once per worker process.
-    plan = WorldPlan.for_config(config)
+    if plan is None:
+        plan = WorldPlan.for_config(config)
 
     # Break-even fallback: predict the per-shard workload from the
     # plan (exact — the fitted counts are what the world will build)
-    # and skip the pool when it cannot pay for itself.  An explicit
-    # pool means the caller already paid the spawn cost, so use it.
-    # A worker_crash drill is never downgraded: its os._exit needs a
-    # worker process to land in, not this one.
+    # and skip the process pool when it cannot pay for itself.  An
+    # explicit pool means the caller already chose.  A worker_crash
+    # drill is never downgraded: its os._exit needs a worker process
+    # to land in, not this one.
     crash_drill = (
         config.faults is not None
         and config.faults.worker_crash is not None
@@ -290,110 +255,72 @@ def run_parallel_campaign(
                 "name_prefix": name_prefix,
             },
             resume=resume,
+            plan=plan,
         )
         fingerprint = checkpoint.fingerprint
 
+    # The (config, plan) pair reaches the workers once, through the
+    # pool prime; each task carries only its per-unit fields.
     specs = make_shards(num_shards, max_nodes=max_nodes)
-    shard_tasks = [
-        ShardTask(
-            config, spec, observe=observe, plan=plan,
-            checkpoint_dir=checkpoint_dir, fingerprint=fingerprint,
-            run_index_offset=run_index_offset,
-            client_seed_offset=client_seed_offset,
-            name_prefix=name_prefix,
+    items: List[WorkItem] = [
+        (
+            run_measurement_shard,
+            ShardTask(
+                spec, observe=observe,
+                checkpoint_dir=checkpoint_dir, fingerprint=fingerprint,
+                run_index_offset=run_index_offset,
+                client_seed_offset=client_seed_offset,
+                name_prefix=name_prefix,
+            ),
+            "shard-{}".format(spec.shard_index),
         )
         for spec in specs
     ]
-    atlas_task: Optional[AtlasTask] = None
     if atlas_probes_per_country > 0:
         atlas_task = AtlasTask(
-            config=config,
             probes_per_country=atlas_probes_per_country,
             repetitions=atlas_repetitions,
             # Past every shard's client stream (they use seed+1+k for
             # k < num_shards), so Atlas query names never collide.
             client_seed=config.seed + 1 + num_shards + client_seed_offset,
             name_tag=name_prefix + "a-",
-            plan=plan,
             checkpoint_dir=checkpoint_dir,
             fingerprint=fingerprint,
         )
+        items.append((run_atlas_task, atlas_task, "atlas"))
 
-    total_tasks = len(shard_tasks) + (1 if atlas_task is not None else 0)
     done = 0
 
     def tick() -> None:
         nonlocal done
         done += 1
         if progress is not None:
-            progress(done, total_tasks)
+            progress(done, len(items))
 
-    if workers == 1:
-        shard_results: List[ShardResult] = []
-        for task in shard_tasks:
-            shard_results.append(run_measurement_shard(task))
-            tick()
-        atlas_samples: List[AtlasRawSample] = []
-        if atlas_task is not None:
-            atlas_samples = list(run_atlas_task(atlas_task))
-            tick()
-    else:
-        # Pooled dispatch: the (config, plan) pair crosses the process
-        # boundary once via prime(); each task ships only its slim
-        # per-shard fields and returns one packed binary blob.
-        items: List[WorkItem] = [
-            (
-                run_pooled_shard,
-                PooledShardTask(
-                    spec=task.spec,
-                    observe=task.observe,
-                    checkpoint_dir=task.checkpoint_dir,
-                    fingerprint=task.fingerprint,
-                    run_index_offset=task.run_index_offset,
-                    client_seed_offset=task.client_seed_offset,
-                    name_prefix=task.name_prefix,
-                ),
-                "shard-{}".format(task.spec.shard_index),
-            )
-            for task in shard_tasks
-        ]
-        if atlas_task is not None:
-            items.append(
-                (
-                    run_pooled_atlas,
-                    PooledAtlasTask(
-                        probes_per_country=atlas_task.probes_per_country,
-                        repetitions=atlas_task.repetitions,
-                        client_seed=atlas_task.client_seed,
-                        name_tag=atlas_task.name_tag,
-                        checkpoint_dir=atlas_task.checkpoint_dir,
-                        fingerprint=atlas_task.fingerprint,
-                    ),
-                    "atlas",
-                )
-            )
-        owns_pool = pool is None
-        if owns_pool:
-            pool = WarmWorkerPool(min(workers, len(items)))
-        try:
-            pool.prime(config, plan)
-            outputs = pool.run_items(
-                items,
-                timeout_s=shard_timeout_s,
-                max_retries=max_shard_retries,
-                tick=tick,
-            )
-        finally:
-            if owns_pool:
-                pool.close()
-        shard_results = [
-            unpack_shard_result(packed)
-            for packed in outputs[: len(shard_tasks)]
-        ]
-        atlas_samples = (
-            unpack_atlas_samples(outputs[len(shard_tasks)])
-            if atlas_task is not None else []
+    owns_pool = pool is None
+    if owns_pool:
+        pool = (
+            InlinePool() if workers == 1
+            else WarmWorkerPool(min(workers, len(items)))
         )
+    try:
+        pool.prime(config, plan)
+        outputs = pool.run_items(
+            items,
+            timeout_s=shard_timeout_s,
+            max_retries=max_shard_retries,
+            tick=tick,
+        )
+    finally:
+        if owns_pool:
+            pool.close()
+    shard_results = [
+        unpack_shard_result(packed) for packed in outputs[: len(specs)]
+    ]
+    atlas_samples = (
+        unpack_atlas_samples(outputs[len(specs)])
+        if atlas_probes_per_country > 0 else []
+    )
 
     result = _merge(config, shard_results, atlas_samples)
     if checkpoint is not None:

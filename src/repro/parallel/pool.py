@@ -1,26 +1,23 @@
-"""Persistent warm worker pool for the sharded campaign executor.
+"""Worker pools for the sharded campaign executor.
 
-The original executor paid three taxes on every shard task: a fresh
-``ProcessPoolExecutor`` (interpreter spawn + imports) per retry round,
-a full ``ReproConfig + WorldPlan`` pickle inside every ``ShardTask``,
-and — dominating everything — a complete world rebuild per task.  At
-campaign scale those fixed costs exceeded the measurement work itself
-and the "parallel" executor ran *slower* than serial (speedup 0.706).
+Every campaign dispatches its shard and Atlas tasks through a pool: a
+:class:`WarmWorkerPool` of long-lived worker processes, or the
+:class:`InlinePool`, which has no processes and runs the same task
+functions in the caller's process.  Both hold one
+:class:`~repro.parallel.worker.WarmWorld` per worker and share one
+protocol:
 
-:class:`WarmWorkerPool` keeps long-lived worker processes that amortise
-all three:
-
-* **Prime once, run many.**  :meth:`prime` ships the pickled
-  ``(config, WorldPlan)`` pair to the workers **once per campaign**
-  through a :mod:`multiprocessing.shared_memory` segment (inline bytes
-  as fallback), not once per task.  Tasks then cross the queue as slim
-  per-shard fields only.
-* **Build once, restore per task.**  Each worker process builds its
-  world on first use, drains the boot events, and captures a pristine
-  state snapshot (:func:`~repro.ckpt.worldstate.capture_world_state`).
-  Every later task **restores** that snapshot (~100× cheaper than a
-  rebuild) instead of rebuilding; a task that dies mid-simulation
-  marks the cached world dirty so the next task rebuilds from scratch.
+* **Prime once, run many.**  :meth:`prime` installs the ``(config,
+  WorldPlan)`` pair once per campaign.  The process pool pickles it a
+  single time into a :mod:`multiprocessing.shared_memory` segment
+  (inline bytes as fallback) that every worker reads; tasks then cross
+  the queue as slim per-unit fields only.
+* **Build once, restore per task.**  A worker builds its world on first
+  use and restores a pristine snapshot for every later task, ~100×
+  cheaper than a rebuild.  The world survives re-primes: a config that
+  differs only in its fault plan (the service's next epoch) is served
+  by re-targeting the built world, and only a different world or a
+  task that died mid-simulation forces a rebuild.
 * **Binary results.**  Shard samples return as one packed blob per
   shard (:mod:`repro.parallel.wirepack`), not thousands of pickled
   dataclasses.
@@ -32,10 +29,10 @@ shard ledger truncation/resume makes retries exact under
 checkpointing), and a hung worker is escalated ``terminate() → grace →
 kill()`` so even a SIGTERM-ignoring child cannot wedge shutdown.
 
-Byte-identity invariant: everything the pool changes is transport and
+Byte-identity invariant: everything a pool changes is transport and
 world *reuse*; the restored world is indistinguishable from a fresh
 build (validated by the parity suite), so merged datasets stay
-byte-identical to inline execution for any worker count.
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -45,19 +42,15 @@ import os
 import pickle
 import queue as queue_mod
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "PooledAtlasTask",
-    "PooledShardTask",
-    "WarmWorkerPool",
-    "run_pooled_atlas",
-    "run_pooled_shard",
-]
+from repro.parallel.worker import WarmWorld
 
-#: One unit of worker work: ``(function, argument, label)``.  The
-#: function must be importable by qualified name (spawn pickling).
+__all__ = ["InlinePool", "WarmWorkerPool"]
+
+#: One unit of worker work: ``(function, argument, label)``, run as
+#: ``function(argument, warm_world)``.  The function must be importable
+#: by qualified name (spawn pickling).
 WorkItem = Tuple[Callable, object, str]
 
 #: How long a worker blocks on its task queue before re-checking that
@@ -74,20 +67,8 @@ class PoolError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side: per-process warm state
+# Worker side
 # ---------------------------------------------------------------------------
-
-#: Per-worker-process cache: the primed (config, plan) pair plus the
-#: lazily built world and its pristine post-boot state snapshot.
-#: Module-level because the spawn entry point is a plain function.
-_WORKER_STATE: dict = {
-    "generation": None,
-    "config": None,
-    "plan": None,
-    "world": None,
-    "pristine": None,
-    "dirty": False,
-}
 
 
 def _attach_shm_untracked(name: str):
@@ -121,11 +102,9 @@ def _attach_shm_untracked(name: str):
         resource_tracker.register = original
 
 
-def _apply_prime(generation: int, transport: str, payload) -> None:
-    """Install a newly shipped ``(config, plan)`` pair in this process."""
-    state = _WORKER_STATE
-    if state["generation"] == generation:
-        return
+def _read_prime(transport: str, payload):
+    """The ``(config, plan)`` pair a prime message ships, or None when
+    its shared-memory segment is already gone."""
     if transport == "shm":
         name, size = payload
         try:
@@ -133,151 +112,36 @@ def _apply_prime(generation: int, transport: str, payload) -> None:
         except FileNotFoundError:
             # A stale prime: the parent already replaced this segment
             # with a newer generation (queued right behind this
-            # message).  Drop to unprimed and wait for it.
-            state["generation"] = None
-            return
+            # message).
+            return None
         try:
-            blob = bytes(segment.buf[:size])
+            payload = bytes(segment.buf[:size])
         finally:
             segment.close()
-    else:
-        blob = payload
-    config, plan = pickle.loads(blob)
-    state.update(
-        generation=generation,
-        config=config,
-        plan=plan,
-        world=None,
-        pristine=None,
-        dirty=False,
-    )
+    return pickle.loads(payload)
 
 
-def _checkout_world():
-    """The warm world, pristine — built on first use, restored after.
-
-    Returns the process-cached world reset to its post-boot state.  The
-    cache is marked dirty for the duration of the task; callers clear
-    the flag after a clean finish, so a task that died mid-simulation
-    (exception, crash fault) leaves ``dirty=True`` and the next task
-    rebuilds instead of restoring half-mutated state.
-    """
-    from repro.ckpt.worldstate import capture_world_state, restore_world_state
-    from repro.core.world import build_world
-
-    state = _WORKER_STATE
-    if state["config"] is None:
-        raise PoolError("worker is not primed (no config installed)")
-    if state["world"] is None or state["dirty"]:
-        world = build_world(state["config"], plan=state["plan"])
-        # Drain the t=0 boot events so the pristine snapshot sits at a
-        # batch boundary (capture refuses a non-drained heap).
-        world.sim.run()
-        state["world"] = world
-        state["pristine"] = capture_world_state(world)
-    else:
-        restore_world_state(state["world"], state["pristine"])
-    state["dirty"] = True
-    return state["world"]
-
-
-@dataclass(frozen=True)
-class PooledShardTask:
-    """A :class:`~repro.parallel.worker.ShardTask` minus the payload the
-    worker already holds from :meth:`WarmWorkerPool.prime` (config and
-    plan) — what actually crosses the queue per shard."""
-
-    spec: object
-    observe: bool = False
-    checkpoint_dir: Optional[str] = None
-    fingerprint: str = ""
-    run_index_offset: int = 0
-    client_seed_offset: int = 0
-    name_prefix: str = ""
-
-
-@dataclass(frozen=True)
-class PooledAtlasTask:
-    """Slim form of :class:`~repro.parallel.worker.AtlasTask`."""
-
-    probes_per_country: int
-    repetitions: int
-    client_seed: int
-    name_tag: str = "a-"
-    checkpoint_dir: Optional[str] = None
-    fingerprint: str = ""
-
-
-def run_pooled_shard(slim: PooledShardTask):
-    """Worker entry point: run one shard on the warm world.
-
-    Returns a :class:`~repro.parallel.wirepack.PackedShardResult` — the
-    parent decodes it with
-    :func:`~repro.parallel.wirepack.unpack_shard_result`.
-    """
-    from repro.parallel.worker import ShardTask, run_measurement_shard
-    from repro.parallel.wirepack import pack_shard_result
-
-    state = _WORKER_STATE
-    if state["config"] is None:
-        raise PoolError("worker is not primed (no config installed)")
-    task = ShardTask(
-        config=state["config"],
-        spec=slim.spec,
-        observe=slim.observe,
-        plan=state["plan"],
-        checkpoint_dir=slim.checkpoint_dir,
-        fingerprint=slim.fingerprint,
-        run_index_offset=slim.run_index_offset,
-        client_seed_offset=slim.client_seed_offset,
-        name_prefix=slim.name_prefix,
-    )
-    used: List[bool] = []
-
-    def factory():
-        world = _checkout_world()
-        used.append(True)
-        return world
-
-    result = run_measurement_shard(task, world_factory=factory)
-    if used:
-        state["dirty"] = False
-    return pack_shard_result(result)
-
-
-def run_pooled_atlas(slim: PooledAtlasTask) -> bytes:
-    """Worker entry point: run the Atlas supplement on the warm world."""
-    from repro.parallel.worker import AtlasTask, run_atlas_task
-    from repro.parallel.wirepack import pack_atlas_samples
-
-    state = _WORKER_STATE
-    if state["config"] is None:
-        raise PoolError("worker is not primed (no config installed)")
-    task = AtlasTask(
-        config=state["config"],
-        probes_per_country=slim.probes_per_country,
-        repetitions=slim.repetitions,
-        client_seed=slim.client_seed,
-        name_tag=slim.name_tag,
-        plan=state["plan"],
-        checkpoint_dir=slim.checkpoint_dir,
-        fingerprint=slim.fingerprint,
-    )
-    used: List[bool] = []
-
-    def factory():
-        world = _checkout_world()
-        used.append(True)
-        return world
-
-    samples = run_atlas_task(task, world_factory=factory)
-    if used:
-        state["dirty"] = False
-    return pack_atlas_samples(samples)
+def _run_item(fn: Callable, arg, warm: WarmWorld):
+    """Run one item on *warm*.  Only an item that checked the world out
+    and returned cleanly releases it: one that raised or died leaves it
+    dirty for a rebuild, and one served from a cached result (no
+    checkout) leaves the flag as it found it."""
+    checkouts = warm.checkouts
+    payload = fn(arg, warm)
+    if warm.checkouts != checkouts:
+        warm.release()
+    return payload
 
 
 def _worker_main(uid: int, task_q, result_q, parent_pid: int) -> None:
-    """Worker process loop: apply primes, run tasks, report results."""
+    """Worker process loop: apply primes, run tasks, report results.
+
+    The process's :class:`WarmWorld` outlives every prime: a new
+    ``(config, plan)`` changes what the next checkout serves, and the
+    checkout alone decides whether the built world can serve it.
+    """
+    warm = WarmWorld()
+    generation = None
     while True:
         try:
             message = task_q.get(timeout=_IDLE_POLL_S)
@@ -291,15 +155,19 @@ def _worker_main(uid: int, task_q, result_q, parent_pid: int) -> None:
         if kind == "stop":
             return
         if kind == "prime":
-            _, generation, transport, payload = message
-            try:
-                _apply_prime(generation, transport, payload)
-            except Exception:
-                _WORKER_STATE["generation"] = None
+            _, new_generation, transport, payload = message
+            if new_generation != generation:
+                try:
+                    primed = _read_prime(transport, payload)
+                except Exception:
+                    primed = None
+                # Unprimed until a readable prime arrives.
+                generation = new_generation if primed else None
+                warm.prime(*(primed or (None, None)))
             continue
         _, index, fn, arg = message
         try:
-            payload = fn(arg)
+            payload = _run_item(fn, arg, warm)
         except Exception as exc:
             result_q.put(
                 (uid, index, "err",
@@ -340,8 +208,9 @@ class WarmWorkerPool:
         pool.close()                      # terminate → grace → kill
 
     The same pool instance may be primed again with a different config
-    (the service supervisor does this across epochs); workers drop
-    their cached world and rebuild on the next task.
+    (the service supervisor does this across epochs); each worker's
+    next checkout re-targets or rebuilds its world as the config needs
+    (see :class:`~repro.parallel.worker.WarmWorld`).
     """
 
     def __init__(self, workers: int, grace_s: float = 2.0) -> None:
@@ -473,7 +342,8 @@ class WarmWorkerPool:
         max_retries: int = 2,
         tick: Optional[Callable[[], None]] = None,
     ) -> List[object]:
-        """Run every item's ``fn(arg)`` across the pool's workers.
+        """Run every item's ``fn(arg, warm)`` across the pool's workers,
+        *warm* being the executing worker's world.
 
         Returns results aligned with *items*.  A worker that dies
         mid-task (OOM kill, crash fault) is detected by liveness
@@ -631,6 +501,48 @@ class WarmWorkerPool:
         self._handles = []
 
     def __enter__(self) -> "WarmWorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class InlinePool:
+    """A zero-process pool: every item runs in this process, on one
+    warm world, through the same task functions as the worker pool.
+
+    There is no sibling worker to retry on, so an item that raises
+    propagates as is (leaving the world dirty for a rebuild), and
+    *timeout_s* and *max_retries* do not apply.
+    """
+
+    def __init__(self) -> None:
+        self._warm = WarmWorld()
+
+    def prime(self, config, plan) -> None:
+        """Serve ``(config, plan)`` from the next task on."""
+        self._warm.prime(config, plan)
+
+    def run_items(
+        self,
+        items: Sequence[WorkItem],
+        timeout_s: Optional[float] = None,
+        max_retries: int = 2,
+        tick: Optional[Callable[[], None]] = None,
+    ) -> List[object]:
+        """Run every item's ``fn(arg, warm)`` in order."""
+        outputs = []
+        for fn, arg, _label in items:
+            outputs.append(_run_item(fn, arg, self._warm))
+            if tick is not None:
+                tick()
+        return outputs
+
+    def close(self) -> None:
+        """Drop the warm world."""
+        self._warm = WarmWorld()
+
+    def __enter__(self) -> "InlinePool":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -2,12 +2,15 @@
 
 Workers never receive a live :class:`~repro.core.world.World` — worlds
 hold generator-based simulator state and cannot cross a process
-boundary.  Instead each worker gets a picklable ``(ReproConfig, task
-spec)`` pair, rebuilds its own deterministic world from the seed, runs
-its slice of the campaign, and ships plain-data results back:
+boundary.  Instead every worker (a pool process, or the caller's own
+process for the inline pool) holds one :class:`WarmWorld`: the world
+of the ``(ReproConfig, WorldPlan)`` pair the pool primed, built once
+and restored to its pristine post-boot state for every task.  A task
+carries only its per-unit fields, runs its slice of the campaign, and
+ships plain-data results back:
 
 * raw :class:`DohRaw`/:class:`Do53Raw` records (post Maxmind
-  validation, with discard counts),
+  validation, with discard counts), packed into one wirepack blob,
 * the authoritative server's query log reduced to ``(qname,
   resolver_ip)`` pairs for the PoP join,
 * the measured nodes' identity rows for client registration,
@@ -20,6 +23,7 @@ Everything here must stay importable at module top level — the
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,40 +34,124 @@ from repro.ckpt.checkpoint import (
     load_unit_result,
     store_unit_result,
 )
-from repro.core.campaign import AtlasRawSample, Campaign, NodeFailure
+from repro.ckpt.worldstate import capture_world_state, restore_world_state
+from repro.core.campaign import Campaign, NodeFailure
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
 from repro.core.timeline import Do53Raw, DohRaw
 from repro.core.validation import filter_mismatched
-from repro.core.world import build_world
+from repro.core.world import World, build_world, install_faults
 from repro.geo.geolocate import GeoRecord
 from repro.obs import Observability
 from repro.parallel.sharding import ShardSpec, shard_items
+from repro.parallel.wirepack import (
+    PackedShardResult,
+    pack_atlas_samples,
+    pack_shard_result,
+)
 
 __all__ = [
     "AtlasTask",
     "ShardResult",
     "ShardTask",
+    "WarmWorld",
     "run_atlas_task",
     "run_measurement_shard",
 ]
 
 
+def _builds_same_world(a: ReproConfig, b: ReproConfig) -> bool:
+    """Whether configs *a* and *b* differ in nothing but their fault
+    plans, so a world built for one can be re-targeted to the other."""
+    return dataclasses.replace(a, faults=None) == dataclasses.replace(
+        b, faults=None
+    )
+
+
+class WarmWorld:
+    """The one world a worker measures on: built once, restored per task.
+
+    Holds the primed ``(config, plan)`` pair, the built world, its
+    pristine post-boot snapshot and a dirty flag.  :meth:`checkout`
+    rebuilds only on first use, after a checkout without a matching
+    :meth:`release` (its task raised or died mid-simulation, or the
+    checkout itself failed), or when the primed config differs from the
+    world's in more than its fault plan.  Otherwise it restores the
+    snapshot, which costs milliseconds against a fraction of a second
+    per build, and when only the fault plan changed (the service's next
+    epoch) re-targets the world with
+    :func:`~repro.core.world.install_faults`.  Either way the world it
+    returns measures exactly like a fresh ``build_world(config, plan)``.
+    """
+
+    def __init__(self) -> None:
+        self.config: Optional[ReproConfig] = None
+        self.plan: Optional[WorldPlan] = None
+        self.world: Optional[World] = None
+        self.pristine: Optional[Dict] = None
+        self.dirty = False
+        #: Checkouts so far; a task runner compares it before and after
+        #: a task to tell whether that task took the world.
+        self.checkouts = 0
+
+    def prime(self, config: Optional[ReproConfig],
+              plan: Optional[WorldPlan]) -> None:
+        """Serve *config* from the next checkout on (None: unprimed).
+
+        The built world is kept; the next checkout decides whether it
+        can serve the new config.
+        """
+        self.config = config
+        self.plan = plan
+
+    def checkout(self) -> World:
+        """The world for the primed config, in its pristine state.
+
+        Marks the world dirty before touching it, until :meth:`release`.
+        """
+        config = self.config
+        if config is None:
+            raise RuntimeError("worker is not primed (no config installed)")
+        world = self.world
+        rebuild = (
+            world is None
+            or self.dirty
+            or not _builds_same_world(world.config, config)
+        )
+        self.dirty = True
+        self.checkouts += 1
+        if rebuild:
+            # Drop the old world first: two at once would double the
+            # worker's peak memory.
+            self.world = self.pristine = None
+            world = build_world(config, plan=self.plan)
+            # Drain the t=0 boot events so the pristine snapshot sits at
+            # a batch boundary (capture refuses a non-drained heap).
+            world.sim.run()
+            self.pristine = capture_world_state(world)
+            self.world = world
+        else:
+            restore_world_state(world, self.pristine)
+            if world.config != config:
+                install_faults(world, config)
+                self.pristine = capture_world_state(world)
+        return world
+
+    def release(self) -> None:
+        """Mark the checked-out world reusable: its task finished."""
+        self.dirty = False
+
+
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker needs to run one measurement shard."""
+    """One measurement shard.  Config and plan are not part of it: the
+    worker holds them from the pool prime."""
 
-    config: ReproConfig
     spec: ShardSpec
     #: Run the shard with the observability layer on; the worker ships
     #: metrics/trace snapshots back as plain data.  Never affects the
     #: measured records themselves.
     observe: bool = False
-    #: Precomputed world-build snapshot (see :class:`WorldPlan`).
-    #: Computed once by the executor and shipped to every worker; None
-    #: makes the worker derive everything itself, with identical
-    #: results.
-    plan: Optional[WorldPlan] = None
     #: Campaign checkpoint directory (see :mod:`repro.ckpt`).  When
     #: set, the shard journals every batch to ``shard-<k>.ledger``,
     #: resumes from it on a retry after a crash, and is skipped
@@ -85,19 +173,17 @@ class ShardTask:
 class AtlasTask:
     """The RIPE Atlas supplement, run as its own deterministic task.
 
-    Atlas gets a dedicated world (rather than piggybacking on shard 0)
-    so its results do not depend on how the fleet was partitioned.
+    Atlas measures on a pristine world of its own (rather than
+    piggybacking on shard 0) so its results do not depend on how the
+    fleet was partitioned.
     """
 
-    config: ReproConfig
     probes_per_country: int
     repetitions: int
     #: Client-stream seed, chosen by the executor to diverge from every
     #: measurement shard.
     client_seed: int
     name_tag: str = "a-"
-    #: Precomputed world-build snapshot (see :class:`ShardTask.plan`).
-    plan: Optional[WorldPlan] = None
     #: Checkpoint directory; a matching ``atlas.result`` blob short-
     #: circuits the task (Atlas is one atomic unit, not batched).
     checkpoint_dir: Optional[str] = None
@@ -133,18 +219,15 @@ class ShardResult:
 
 
 def run_measurement_shard(
-    task: ShardTask, world_factory=None
-) -> ShardResult:
-    """Build a world and measure this shard's slice of the fleet.
+    task: ShardTask, warm: WarmWorld
+) -> PackedShardResult:
+    """Measure this shard's slice of the fleet on *warm*'s world.
 
-    *world_factory*, if given, supplies the world instead of
-    :func:`build_world` — the warm pool (:mod:`repro.parallel.pool`)
-    passes its build-once/restore-per-task cache here.  It is only
-    called when a world is actually needed (a cached ``.result`` blob
-    short-circuits without one), and the world it returns must be
-    indistinguishable from a fresh ``build_world(config, plan)``.
+    Returns the result packed for transport; the parent decodes it with
+    :func:`~repro.parallel.wirepack.unpack_shard_result`.  A shard whose
+    ``.result`` blob already matches the fingerprint never checks a
+    world out.
     """
-    config = task.config
     spec = task.spec
     role = "shard-{}".format(spec.shard_index)
     checkpoint: Optional[MeasureCheckpoint] = None
@@ -157,16 +240,14 @@ def run_measurement_shard(
             # this invocation (re-stamp the per-run counters).
             cached.resumed_batches += cached.measured_batches
             cached.measured_batches = 0
-            return cached
+            return pack_shard_result(cached)
         checkpoint = MeasureCheckpoint(
             task.checkpoint_dir, role, task.fingerprint
         )
     obs = Observability() if task.observe else None
     wall_start = time.perf_counter()
-    if world_factory is not None:
-        world = world_factory()
-    else:
-        world = build_world(config, plan=task.plan)
+    world = warm.checkout()
+    config = world.config
     campaign = Campaign(
         world,
         atlas_probes_per_country=0,
@@ -240,30 +321,23 @@ def run_measurement_shard(
     )
     if result_path is not None:
         store_unit_result(result_path, task.fingerprint, role, result)
-    return result
+    return pack_shard_result(result)
 
 
-def run_atlas_task(
-    task: AtlasTask, world_factory=None
-) -> List[AtlasRawSample]:
-    """Build a world and run only the RIPE Atlas supplement.
+def run_atlas_task(task: AtlasTask, warm: WarmWorld) -> bytes:
+    """Run only the RIPE Atlas supplement on *warm*'s world.
 
-    *world_factory* follows the :func:`run_measurement_shard` contract:
-    the Atlas world is built from the same ``(config, plan)`` pair as
-    the shard worlds, so the pool's warm world serves here too.
+    Returns the samples packed for transport; the parent decodes them
+    with :func:`~repro.parallel.wirepack.unpack_atlas_samples`.
     """
     result_path = None
     if task.checkpoint_dir:
         result_path = os.path.join(task.checkpoint_dir, "atlas.result")
         cached = load_unit_result(result_path, task.fingerprint, "atlas")
         if cached is not None:
-            return cached
-    if world_factory is not None:
-        world = world_factory()
-    else:
-        world = build_world(task.config, plan=task.plan)
+            return pack_atlas_samples(cached)
     campaign = Campaign(
-        world,
+        warm.checkout(),
         atlas_probes_per_country=task.probes_per_country,
         atlas_repetitions=task.repetitions,
         client_seed=task.client_seed,
@@ -272,4 +346,4 @@ def run_atlas_task(
     samples = campaign.collect_atlas()
     if result_path is not None:
         store_unit_result(result_path, task.fingerprint, "atlas", samples)
-    return samples
+    return pack_atlas_samples(samples)

@@ -60,12 +60,14 @@ from repro.analysis.availability import (
 from repro.ckpt.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.ckpt.quarantine import quarantine_checkpoint, verify_checkpoint_dir
 from repro.core.config import ReproConfig
+from repro.core.plan import WorldPlan
 from repro.dataset.store import Dataset
 from repro.faults.epochs import EpochScheduleParams, epoch_fault_plan
 from repro.ioutil import atomic_write_json
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import run_parallel_campaign
+from repro.parallel.pool import InlinePool, WarmWorkerPool
 from repro.proxy.population import PopulationConfig
 from repro.service import paths
 from repro.service.journal import ServiceJournal
@@ -286,9 +288,12 @@ def _epoch_deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.blake2b(handle.read(), digest_size=16).hexdigest()
+def _json_digest(payload: Dict) -> str:
+    """Digest of a dataset's plain-dict form (canonical compact JSON)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(
+        canonical.encode("utf-8"), digest_size=16
+    ).hexdigest()
 
 
 # -- the supervisor --------------------------------------------------------
@@ -304,11 +309,16 @@ class ServiceSupervisor:
         self.metrics = MetricsRegistry()
         #: Dataset accumulated across completed epochs (in memory).
         self._dataset: Optional[Dataset] = None
-        #: Warm worker pool shared by every epoch's campaign (created
-        #: lazily when ``config.workers > 1``, closed when the service
-        #: run ends) — epochs re-prime it instead of respawning
-        #: processes, so only the first epoch pays pool startup.
+        #: Digest of :attr:`_dataset` as last published or verified.
+        self._digest: Optional[str] = None
+        #: The pool every epoch's campaign runs on (created lazily,
+        #: closed when the service run ends): worker processes when
+        #: ``config.workers > 1``, else the inline pool.  Epochs
+        #: re-prime it, so each worker's world is built once per
+        #: service run and only re-targeted at the next fault plan.
         self._pool = None
+        #: The fleet's WorldPlan; every epoch builds the same world.
+        self._plan: Optional[WorldPlan] = None
         self._log = print
 
     # -- service manifest --------------------------------------------------
@@ -450,8 +460,7 @@ class ServiceSupervisor:
         if not journal.service_complete():
             journal.append(
                 "service-done",
-                {"epochs": config.epochs,
-                 "dataset_digest": self._dataset_digest()},
+                {"epochs": config.epochs, "dataset_digest": self._digest},
             )
         self._write_service_manifest("complete")
         self._log(
@@ -540,8 +549,11 @@ class ServiceSupervisor:
     def _run_epoch_campaign(self, epoch: int, directory: str) -> Dataset:
         """One epoch = one checkpointed sharded campaign."""
         config = self.config
+        epoch_config = config.epoch_config(epoch)
+        if self._plan is None:
+            self._plan = WorldPlan.for_config(epoch_config)
         result = run_parallel_campaign(
-            config.epoch_config(epoch),
+            epoch_config,
             workers=config.workers,
             num_shards=config.num_shards,
             atlas_probes_per_country=0,
@@ -551,23 +563,23 @@ class ServiceSupervisor:
             client_seed_offset=epoch_client_seed_offset(epoch),
             name_prefix="e{}-".format(epoch),
             pool=self._campaign_pool(),
+            plan=self._plan,
         )
         return result.dataset
 
     def _campaign_pool(self):
-        """The service-lifetime warm pool, or None for inline epochs.
+        """The service-lifetime pool.
 
         One pool serves every epoch: each epoch's campaign re-primes it
-        with that epoch's config (worlds rebuild, processes persist),
-        so pool startup is paid once per service run instead of once
-        per epoch.
+        with that epoch's config, which differs from the last only in
+        its fault plan, so worlds are re-targeted instead of rebuilt
+        and worker processes persist.
         """
-        if self.config.workers <= 1:
-            return None
         if self._pool is None:
-            from repro.parallel.pool import WarmWorkerPool
-
-            self._pool = WarmWorkerPool(self.config.workers)
+            self._pool = (
+                WarmWorkerPool(self.config.workers)
+                if self.config.workers > 1 else InlinePool()
+            )
         return self._pool
 
     # -- checkpoint health -------------------------------------------------
@@ -634,7 +646,7 @@ class ServiceSupervisor:
         self, journal: ServiceJournal, epoch: int, recorded: Dict
     ) -> None:
         """A replayed epoch must reproduce its journalled digest."""
-        digest = self._dataset_digest()
+        digest = self._digest = _json_digest(self._dataset.to_json())
         if digest != recorded.get("dataset_digest"):
             raise ServiceError(
                 "replaying epoch {} produced dataset digest {} but the "
@@ -656,15 +668,6 @@ class ServiceSupervisor:
         else:
             self._dataset = self._dataset.merge(epoch_dataset)
 
-    def _dataset_digest(self) -> str:
-        canonical = json.dumps(
-            self._dataset.to_json(), sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
-
     def _publish(self, through_epoch: int) -> str:
         """Atomically republish dataset + availability + manifest.
 
@@ -674,7 +677,9 @@ class ServiceSupervisor:
         """
         config = self.config
         dataset_file = paths.dataset_path(self.directory)
-        self._dataset.save(dataset_file)
+        # One plain-dict form serves both the file and the digest.
+        payload = self._dataset.to_json()
+        self._dataset.save(dataset_file, payload)
 
         report = availability_report(
             self._dataset,
@@ -709,7 +714,8 @@ class ServiceSupervisor:
             paths.manifest_sidecar_path(self.directory), manifest
         )
         self._log(render_availability_table(report))
-        return self._dataset_digest()
+        self._digest = _json_digest(payload)
+        return self._digest
 
     def _record_lineage(
         self, epoch: int, directory: str, digest: str

@@ -10,7 +10,7 @@
 
 Both regressions are implemented from first principles on numpy; scipy
 is used only for the survival functions of the reference
-distributions.
+distributions, and imported only when one is evaluated.
 """
 
 from repro.stats.descriptive import (

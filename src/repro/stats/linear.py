@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["LinearModel", "fit_ols"]
 
@@ -50,6 +49,9 @@ class LinearModel:
         se = self.standard_errors[index]
         if se <= 0 or not np.isfinite(se):
             return float("nan")
+        # Deferred: see LogisticModel.p_value.
+        from scipy import stats as scipy_stats
+
         dof = self.n_observations - len(self.column_names)
         t = self.coefficients[index] / se
         return float(2.0 * scipy_stats.t.sf(abs(t), dof))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["LogisticModel", "fit_logistic"]
 
@@ -44,6 +43,10 @@ class LogisticModel:
         se = self.standard_errors[index]
         if se <= 0 or not np.isfinite(se):
             return float("nan")
+        # scipy is imported where it is used: importing it costs about
+        # a second, which nothing on the measurement path should pay.
+        from scipy import stats as scipy_stats
+
         z = self.coefficients[index] / se
         return float(2.0 * scipy_stats.norm.sf(abs(z)))
 
@@ -59,6 +62,8 @@ class LogisticModel:
             raise ValueError("confidence must be in (0, 1)")
         index = self._index(column)
         se = self.standard_errors[index]
+        from scipy import stats as scipy_stats
+
         z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
         beta = self.coefficients[index]
         return (

@@ -6,6 +6,7 @@ shards (``workers`` changes wall-clock only; ``num_shards`` is part of
 the experiment definition, like ``batch_size``).
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -14,17 +15,24 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
+from repro.core.plan import WorldPlan
 from repro.core.world import build_world
 from repro.faults import FaultPlan
 from repro.netsim.engine import SimulationError
 from repro.parallel import (
+    AtlasTask,
+    InlinePool,
     ShardExecutionError,
     ShardSpec,
+    ShardTask,
+    WarmWorkerPool,
     make_shards,
+    run_atlas_task,
+    run_measurement_shard,
     run_parallel_campaign,
     shard_items,
+    unpack_shard_result,
 )
-from repro.parallel.executor import _execute_tasks
 from repro.proxy.population import PopulationConfig
 
 PARITY_KWARGS = dict(
@@ -180,18 +188,67 @@ class TestFaultedParity:
         # the parity claim meaningful.
         assert any(not s.success for s in serial.dataset.doh)
 
+    def test_warm_shards_match_fresh_builds(self):
+        # Every pool restores its world between tasks, so the workers=1
+        # reference above runs on restored worlds too.  Pin the warm
+        # path to fresh builds: each shard (and Atlas) measured on its
+        # own fresh world must match the same task run on one warm
+        # world after Atlas and the shards before it.
+        config = self._faulted_config()
+        plan = WorldPlan.for_config(config)
+        atlas = (run_atlas_task, AtlasTask(1, 1, client_seed=99), "atlas")
+        shards = [
+            (run_measurement_shard, ShardTask(spec, observe=True),
+             "shard-{}".format(spec.shard_index))
+            for spec in make_shards(4, max_nodes=32)
+        ]
+        items = [atlas] + shards
+        fresh = []
+        for item in items:
+            with InlinePool() as pool:
+                pool.prime(config, plan)
+                fresh.extend(pool.run_items([item]))
+        with InlinePool() as pool:
+            pool.prime(config, plan)
+            warm = pool.run_items(items)
+
+        assert warm[0] == fresh[0]
+        for warm_packed, fresh_packed in zip(warm[1:], fresh[1:]):
+            actual = _without_gauges(unpack_shard_result(warm_packed))
+            expected = _without_gauges(unpack_shard_result(fresh_packed))
+            assert actual == expected
+        assert any(
+            not raw.success
+            for packed in fresh[1:]
+            for raw in unpack_shard_result(packed).kept_doh
+        )
+
+
+def _without_gauges(result):
+    """A shard result minus its wall-clock gauges."""
+    metrics = dict(result.metrics)
+    del metrics["gauges"]
+    return dataclasses.replace(result, metrics=metrics)
+
 
 # -- worker crash/hang simulation helpers (must be picklable) -------------
+# Pool items run as fn(arg, warm_world); these ignore the world.
 
-def _double(value):
+def _execute_tasks(items, workers, **kwargs):
+    """Run *items* on a throwaway pool of *workers* processes."""
+    with WarmWorkerPool(min(workers, len(items))) as pool:
+        return pool.run_items(items, **kwargs)
+
+
+def _double(value, _warm):
     return value * 2
 
 
-def _die(_value):
+def _die(_value, _warm):
     os._exit(11)  # simulate an OOM-kill / segfault, no cleanup
 
 
-def _die_once(sentinel_path):
+def _die_once(sentinel_path, _warm):
     if not os.path.exists(sentinel_path):
         with open(sentinel_path, "w"):
             pass
@@ -199,23 +256,24 @@ def _die_once(sentinel_path):
     return "recovered"
 
 
-def _hang(_value):
+def _hang(_value, _warm):
     time.sleep(60)
 
 
-def _hang_ignoring_sigterm(_value):
+def _hang_ignoring_sigterm(_value, _warm):
     # The nastiest hang: SIGTERM bounces off, so only the pool's
     # kill() escalation can end this worker.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(60)
 
 
-def _raise(_value):
+def _raise(_value, _warm):
     raise RuntimeError("task exploded")
 
 
 class TestExecutorResilience:
-    """_execute_tasks: dead workers are detected and retried, never hung."""
+    """The process pool: dead workers are detected and retried, never
+    hung."""
 
     def test_healthy_tasks_keep_item_order(self):
         items = [(_double, n, "t{}".format(n)) for n in range(5)]
