@@ -13,7 +13,8 @@ discard completed work.  This package provides:
   config, world plan, fault plan, and client seeds, so a ledger can
   never silently be resumed against different code-relevant inputs,
 * :mod:`repro.ckpt.checkpoint` — the :class:`CampaignCheckpoint`
-  directory layout, manifest, and resume bookkeeping,
+  directory layout, manifest, sealed (checksummed) blobs, and resume
+  bookkeeping,
 * :mod:`repro.ckpt.extend` — incremental campaigns: grow a finished
   checkpoint with new providers, more runs, or more nodes, computing
   only the delta and merging deterministically,

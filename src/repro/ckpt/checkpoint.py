@@ -4,33 +4,45 @@ Layout of a checkpoint directory::
 
     <dir>/checkpoint.json     manifest: fingerprint, execution shape,
                               per-run resume counters, lineage
-    <dir>/config.pkl          the exact ReproConfig (for ckpt extend)
+    <dir>/config.pkl          sealed pickle of the exact ReproConfig
+                              (for ckpt extend)
     <dir>/<role>.ledger       sample journal per unit of work
-                              (roles: "serial", "shard-<k>", "ext-...")
-    <dir>/<role>.state        pickled world+campaign mutable state at
-                              the last committed batch boundary
-    <dir>/<role>.result       pickled final unit result (shards/Atlas)
+                              (roles: "serial", "shard-<k>", "delta");
+                              each batch record is one base64 wirepack
+                              blob (:mod:`repro.parallel.wirepack`)
+    <dir>/<role>.state        sealed pickle of the world+campaign
+                              mutable state at the last committed batch
+    <dir>/<role>.result       sealed wirepack result of a finished
+                              shard, Atlas or extension delta
     <dir>/ext-<n>/            nested checkpoint of extension n
+
+Every blob file is *sealed* (:func:`seal`): a magic number and a
+BLAKE2b checksum over the format version, the campaign fingerprint,
+the file name and the payload.  A blob is decoded only after its seal
+verifies; one that fails is treated as absent, so its unit is measured
+again, which is always byte-safe.
 
 Commit protocol per batch: append the batch's raw samples to the
 ledger (fsync), then atomically replace the state blob.  A crash
 between the two leaves the ledger one batch ahead of the state; resume
 reconciles by truncating the ledger back to the state's watermark — at
-most one batch interval of work is re-measured, and re-measuring is
-always byte-safe because the restored state replays the exact RNG draw
-sequence of an uninterrupted run (see :mod:`repro.ckpt.worldstate`).
+most one batch is re-measured, and re-measuring is always byte-safe
+because the restored state replays the exact RNG draw sequence of an
+uninterrupted run (see :mod:`repro.ckpt.worldstate`).
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import os
 import pickle
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.ckpt import records as codecs
 from repro.ckpt.fingerprint import FORMAT_VERSION, campaign_fingerprint
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
@@ -38,11 +50,16 @@ from repro.ckpt.ledger import (
     LedgerWriter,
     read_ledger,
 )
-from repro.ckpt.worldstate import capture_world_state, restore_world_state
+from repro.ckpt.worldstate import (
+    _rng_state,
+    capture_world_state,
+    restore_world_state,
+)
 from repro.core.campaign import NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
 from repro.faults.plan import WORKER_CRASH_EXIT  # noqa: F401  (re-export)
 from repro.ioutil import atomic_write_bytes, atomic_write_json
+from repro.parallel.wirepack import pack_samples, unpack_samples
 
 __all__ = [
     "CampaignCheckpoint",
@@ -55,6 +72,12 @@ __all__ = [
 
 MANIFEST_NAME = "checkpoint.json"
 CONFIG_NAME = "config.pkl"
+
+#: Leads every sealed blob; the checksum follows it.
+SEAL_MAGIC = b"RSEAL"
+_SEAL_DIGEST = 16
+#: Format version, fingerprint length, file-name length.
+_SEAL_HEAD = struct.Struct("<HHH")
 
 
 class CheckpointError(Exception):
@@ -76,7 +99,6 @@ class ResumeInfo:
     """What a :class:`MeasureCheckpoint` replayed from its ledger."""
 
     batches_done: int = 0
-    complete: bool = False
     doh: List[DohRaw] = field(default_factory=list)
     do53: List[Do53Raw] = field(default_factory=list)
     failures: List[NodeFailure] = field(default_factory=list)
@@ -142,6 +164,15 @@ class CampaignCheckpoint:
             existing = None
         if existing is not None:
             stored = existing.get("fingerprint")
+            if existing.get("format") != FORMAT_VERSION:
+                raise CheckpointMismatchError(
+                    "cannot resume checkpoint {!r}: it was written in "
+                    "checkpoint format {}, and this version reads format "
+                    "{}; pass --resume=force to discard it and start "
+                    "over.".format(
+                        directory, existing.get("format"), FORMAT_VERSION
+                    )
+                )
             if stored != fingerprint:
                 raise CheckpointMismatchError(
                     "cannot resume checkpoint {!r}: it was written for a "
@@ -168,7 +199,10 @@ class CampaignCheckpoint:
         checkpoint = cls(directory, fingerprint, manifest)
         atomic_write_bytes(
             os.path.join(directory, CONFIG_NAME),
-            pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL),
+            seal(
+                pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL),
+                fingerprint, CONFIG_NAME,
+            ),
         )
         checkpoint._write_manifest()
         return checkpoint
@@ -187,8 +221,16 @@ class CampaignCheckpoint:
 
     def stored_config(self):
         """The exact config the checkpoint was created with."""
-        with open(os.path.join(self.directory, CONFIG_NAME), "rb") as handle:
-            return pickle.load(handle)
+        path = os.path.join(self.directory, CONFIG_NAME)
+        payload = load_unit_result(path, self.fingerprint)
+        if payload is None:
+            raise CheckpointCorruptionError(
+                "{}: missing, or fails its seal (damaged, or written in "
+                "a checkpoint format other than {})".format(
+                    path, FORMAT_VERSION
+                )
+            )
+        return pickle.loads(payload)
 
     @staticmethod
     def _read_manifest(path: str) -> Optional[Dict]:
@@ -258,59 +300,81 @@ class CampaignCheckpoint:
 
     # -- unit handles ------------------------------------------------------
 
-    def measure_checkpoint(self, role: str,
-                           interval: int = 1) -> "MeasureCheckpoint":
+    def measure_checkpoint(self, role: str) -> "MeasureCheckpoint":
         """A journal handle for one unit of measurement (see
-        :class:`MeasureCheckpoint`); *interval* batches per state
-        commit."""
-        return MeasureCheckpoint(
-            self.directory, role, self.fingerprint, interval=interval
-        )
+        :class:`MeasureCheckpoint`)."""
+        return MeasureCheckpoint(self.directory, role, self.fingerprint)
 
-    # -- unit results (shards / Atlas) ------------------------------------
+    # -- unit results (extension deltas) -----------------------------------
 
-    def store_result(self, role: str, result) -> None:
-        """Persist a completed unit's final result (atomic)."""
-        atomic_write_bytes(
-            self.result_path(role),
-            pickle.dumps(
-                {"fingerprint": self.fingerprint, "role": role,
-                 "result": result},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-        )
+    def store_result(self, role: str, payload: bytes) -> None:
+        """Persist a completed unit's result bytes, sealed (atomic)."""
+        store_unit_result(self.result_path(role), self.fingerprint, payload)
 
-    def load_result(self, role: str):
-        """A completed unit's result, or ``None`` if absent/unusable."""
-        return load_unit_result(
-            self.result_path(role), self.fingerprint, role
-        )
+    def load_result(self, role: str) -> Optional[bytes]:
+        """A completed unit's result bytes, or ``None`` if absent or
+        its seal fails."""
+        return load_unit_result(self.result_path(role), self.fingerprint)
 
 
-def load_unit_result(path: str, fingerprint: str, role: str):
-    """Load a ``<role>.result`` blob; ``None`` when absent or stale."""
+def seal(payload: bytes, fingerprint: str, name: str) -> bytes:
+    """Wrap *payload* for the checkpoint file *name*.
+
+    The seal is :data:`SEAL_MAGIC`, then a BLAKE2b checksum over the
+    rest: the checkpoint format version, *fingerprint*, *name* and the
+    payload.  Binding the file name means a blob copied over another
+    file (a shard's ``.state`` over its ``.result``) fails to unseal.
+    """
+    head = _seal_head(fingerprint, name)
+    digest = hashlib.blake2b(head, digest_size=_SEAL_DIGEST)
+    digest.update(payload)
+    return SEAL_MAGIC + digest.digest() + head + payload
+
+
+def unseal(blob: bytes, fingerprint: str, name: str) -> Optional[bytes]:
+    """The payload :func:`seal` wrapped, or ``None`` unless the magic,
+    checksum, format, fingerprint and file name all verify."""
+    start = len(SEAL_MAGIC) + _SEAL_DIGEST
+    view = memoryview(blob)
+    if view[:len(SEAL_MAGIC)] != SEAL_MAGIC:
+        return None
+    digest = hashlib.blake2b(view[start:], digest_size=_SEAL_DIGEST)
+    if digest.digest() != view[len(SEAL_MAGIC):start]:
+        return None
+    head = _seal_head(fingerprint, name)
+    if view[start:start + len(head)] != head:
+        return None
+    return bytes(view[start + len(head):])
+
+
+def _seal_head(fingerprint: str, name: str) -> bytes:
+    fingerprint_bytes = fingerprint.encode("utf-8")
+    name_bytes = name.encode("utf-8")
+    return _SEAL_HEAD.pack(
+        FORMAT_VERSION, len(fingerprint_bytes), len(name_bytes)
+    ) + fingerprint_bytes + name_bytes
+
+
+def load_unit_result(path: str, fingerprint: str) -> Optional[bytes]:
+    """The payload of the sealed blob at *path*; ``None`` when the file
+    is absent or fails its seal (torn, damaged, stale or misplaced).
+
+    Every sealed file is read here: unit results, and also ``.state``
+    blobs and ``config.pkl``.
+    """
     try:
         with open(path, "rb") as handle:
-            blob = pickle.load(handle)
+            blob = handle.read()
     except FileNotFoundError:
         return None
-    except Exception:
-        return None  # torn/corrupt blob: treat as absent, re-measure
-    if blob.get("fingerprint") != fingerprint or blob.get("role") != role:
-        return None
-    return blob["result"]
+    return unseal(blob, fingerprint, os.path.basename(path))
 
 
-def store_unit_result(path: str, fingerprint: str, role: str,
-                      result) -> None:
-    """Worker-side counterpart of :meth:`CampaignCheckpoint.store_result`
-    (workers know only paths, never the manifest)."""
+def store_unit_result(path: str, fingerprint: str, payload: bytes) -> None:
+    """Seal *payload* and atomically write it to *path* (workers know
+    only paths, never the manifest)."""
     atomic_write_bytes(
-        path,
-        pickle.dumps(
-            {"fingerprint": fingerprint, "role": role, "result": result},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        ),
+        path, seal(payload, fingerprint, os.path.basename(path))
     )
 
 
@@ -321,20 +385,13 @@ class MeasureCheckpoint:
     build one from a pickled task spec without touching the manifest.
     """
 
-    def __init__(self, directory: str, role: str, fingerprint: str,
-                 interval: int = 1) -> None:
-        if interval < 1:
-            raise ValueError("checkpoint interval must be >= 1")
+    def __init__(self, directory: str, role: str, fingerprint: str) -> None:
         self.directory = directory
         self.role = role
         self.fingerprint = fingerprint
-        self.interval = interval
         self.ledger_path = os.path.join(directory, role + ".ledger")
         self.state_path = os.path.join(directory, role + ".state")
         self._writer: Optional[LedgerWriter] = None
-        # Batches measured since the last ledger commit (interval > 1).
-        self._pending: List[Dict] = []
-        self._pending_through = -1
         self._batches_committed = 0
         self._next_seq = 0
         self._complete = False
@@ -379,6 +436,13 @@ class MeasureCheckpoint:
                 "{}: journal has no header record".format(self.ledger_path)
             )
         payload = header.payload
+        if payload.get("format") != FORMAT_VERSION:
+            raise CheckpointMismatchError(
+                "{}: ledger written in checkpoint format {!r}, this "
+                "version reads format {}".format(
+                    self.ledger_path, payload.get("format"), FORMAT_VERSION
+                )
+            )
         if payload.get("fingerprint") != self.fingerprint or (
             payload.get("role") != self.role
         ):
@@ -390,32 +454,22 @@ class MeasureCheckpoint:
                     self.fingerprint,
                 )
             )
-        if payload.get("format") != FORMAT_VERSION:
-            raise CheckpointMismatchError(
-                "{}: unsupported ledger format {!r}".format(
-                    self.ledger_path, payload.get("format")
-                )
-            )
 
-        state = self._load_state()
-        state_batches = 0 if state is None else state["batches_done"]
-
-        batch_records = [r for r in load.records if r.kind == "batch"]
+        batches = [r for r in load.records if r.kind == "batch"]
         done_marker = any(r.kind == "done" for r in load.records)
-
-        # Keep the longest prefix both the journal and the state blob
-        # agree on; everything past it is a torn commit (at most one
-        # batch interval, lost in the crash) and gets truncated away.
-        kept = []
-        keep_batches = 0
-        for record in batch_records:
-            through = record.payload["through"]
-            if through + 1 > state_batches:
-                break
-            kept.append(record)
-            keep_batches = through + 1
+        # The state blob covers its first ``batches_done`` batches.  Keep
+        # that prefix of the journal; batches past it are a torn commit
+        # (the crash hit between ledger append and state write) and get
+        # truncated away.  A state with no blob, a failed seal, or more
+        # batches than the journal holds (its last batch record was
+        # damaged and dropped as a torn tail) cannot be trusted: the
+        # unit starts over from batch 0, which is always byte-safe.
+        state = self._load_state()
+        if state is not None and state["batches_done"] > len(batches):
+            state = None
+        kept = batches[:state["batches_done"]] if state is not None else []
         complete = (
-            done_marker and state is not None and kept == batch_records
+            done_marker and state is not None and len(kept) == len(batches)
         )
         keep_records = 1 + len(kept) + (1 if complete else 0)
         truncate_to = load.offsets[keep_records - 1]
@@ -423,44 +477,36 @@ class MeasureCheckpoint:
             LedgerReader.truncate_to(self.ledger_path, truncate_to)
         self._next_seq = keep_records
         self._complete = complete
-
-        if keep_batches == 0:
-            # Journal present but nothing usable (state blob lost):
-            # start over from scratch — always byte-safe.
+        if not kept:
             return ResumeInfo()
 
-        info = ResumeInfo(batches_done=keep_batches, complete=complete)
+        info = ResumeInfo(batches_done=len(kept))
         for record in kept:
-            info.doh.extend(
-                codecs.doh_from_json(item) for item in record.payload["doh"]
-            )
-            info.do53.extend(
-                codecs.do53_from_json(item)
-                for item in record.payload["do53"]
-            )
-            info.failures.extend(
-                codecs.failure_from_json(item)
-                for item in record.payload["fail"]
-            )
+            try:
+                doh, do53, failures = unpack_samples(
+                    base64.b64decode(record.payload, validate=True)
+                )
+            except (TypeError, ValueError) as exc:
+                raise CheckpointCorruptionError(
+                    "{}: batch record {} does not decode: {}".format(
+                        self.ledger_path, record.seq, exc
+                    )
+                ) from None
+            info.doh.extend(doh)
+            info.do53.extend(do53)
+            info.failures.extend(failures)
         self._restore(campaign, state)
         return info
 
     def _load_state(self) -> Optional[Dict]:
-        try:
-            with open(self.state_path, "rb") as handle:
-                blob = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            return None  # torn state blob: fall back to the journal
-        if blob.get("fingerprint") != self.fingerprint:
-            return None
-        return blob
+        """The state blob, or ``None`` when absent or its seal fails."""
+        payload = load_unit_result(self.state_path, self.fingerprint)
+        return None if payload is None else pickle.loads(payload)
 
     def _restore(self, campaign, state: Dict) -> None:
         restore_world_state(campaign.world, state["world"])
         saved = state["campaign"]
-        campaign.client.rng.setstate(_rng_tuple(saved["client_rng"]))
+        campaign.client.rng.setstate(_rng_state(saved["client_rng"]))
         campaign.client._uuid_counter = saved["uuid_counter"]
         if campaign.obs is not None:
             if saved.get("metrics") is not None:
@@ -472,40 +518,14 @@ class MeasureCheckpoint:
 
     def commit_batch(self, campaign, batch_index: int,
                      doh: List[DohRaw], do53: List[Do53Raw],
-                     failures: List[NodeFailure],
-                     force: bool = False) -> None:
-        """Buffer one measured batch; journal + snapshot state every
-        ``interval`` batches (or when *force* flushes the tail)."""
-        self._pending.append(
-            {
-                "doh": [codecs.doh_to_json(raw) for raw in doh],
-                "do53": [codecs.do53_to_json(raw) for raw in do53],
-                "fail": [codecs.failure_to_json(f) for f in failures],
-            }
-        )
-        self._pending_through = batch_index
-        if len(self._pending) >= self.interval or force:
-            self._flush(campaign)
-
-    def _flush(self, campaign) -> None:
-        if not self._pending:
-            return
-        payload = {
-            "through": self._pending_through,
-            "batches": len(self._pending),
-            "doh": [item for p in self._pending for item in p["doh"]],
-            "do53": [item for p in self._pending for item in p["do53"]],
-            "fail": [item for p in self._pending for item in p["fail"]],
-        }
-        self._writer.append("batch", payload)
-        self._pending = []
-        self._batches_committed = self._pending_through + 1
-        self._write_state(campaign)
-
-    def _write_state(self, campaign) -> None:
+                     failures: List[NodeFailure]) -> None:
+        """Journal one measured batch (fsync'd), then snapshot the
+        world state after it."""
+        blob = pack_samples(doh, do53, failures)
+        self._writer.append("batch", base64.b64encode(blob).decode("ascii"))
+        self._batches_committed = batch_index + 1
         obs = campaign.obs
         state = {
-            "fingerprint": self.fingerprint,
             "batches_done": self._batches_committed,
             "world": capture_world_state(campaign.world),
             "campaign": {
@@ -521,14 +541,16 @@ class MeasureCheckpoint:
         }
         atomic_write_bytes(
             self.state_path,
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+            seal(
+                pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+                self.fingerprint, os.path.basename(self.state_path),
+            ),
         )
 
-    def finish(self, campaign) -> None:
-        """Flush any buffered batches and mark the unit complete."""
+    def finish(self) -> None:
+        """Mark the unit complete (every batch is already committed)."""
         if self._complete:
             return  # replayed a finished journal; the marker is there
-        self._flush(campaign)
         self._writer.append("done", {"batches": self._batches_committed})
         self._complete = True
 
@@ -537,8 +559,3 @@ class MeasureCheckpoint:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-
-
-def _rng_tuple(saved):
-    kind, internal, gauss = saved
-    return (kind, tuple(internal), gauss)

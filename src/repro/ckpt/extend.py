@@ -40,9 +40,9 @@ from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
 from repro.core.validation import filter_mismatched
 from repro.core.world import build_world
-from repro.dataset.builder import DatasetBuilder
 from repro.dataset.store import Dataset
-from repro.geo.geolocate import GeolocationService
+from repro.parallel.wirepack import pack_shard_result, unpack_shard_result
+from repro.parallel.worker import ShardResult
 
 __all__ = [
     "ExtendResult",
@@ -235,12 +235,19 @@ def extend_campaign(
         ext_dir, plan.config, execution=execution, resume=resume
     )
 
-    delta = ext.load_result("delta")
-    if delta is None:
-        delta, replayed, measured = _measure_delta(plan, ext, progress)
-        ext.store_result("delta", delta)
+    # Imported here, not at the top: the executor imports repro.ckpt.
+    from repro.parallel.executor import merge_shard_results
+
+    cached = ext.load_result("delta")
+    if cached is None:
+        delta = _measure_delta(plan, ext, progress)
+        ext.store_result("delta", pack_shard_result(delta))
     else:
-        replayed, measured = delta["num_batches"], 0
+        # Finished in an earlier invocation: nothing measured now.
+        delta = unpack_shard_result(cached)
+        delta.resumed_batches += delta.measured_batches
+        delta.measured_batches = 0
+    replayed, measured = delta.resumed_batches, delta.measured_batches
     ext.record_run(
         {
             "units": [
@@ -254,7 +261,8 @@ def extend_campaign(
     )
     ext.mark_complete()
 
-    delta_dataset = _build_delta_dataset(plan, delta)
+    delta_result = merge_shard_results(plan.config, [delta], [])
+    delta_dataset = delta_result.dataset
     merged = dataset.merge(delta_dataset)
     entry = {
         "extension": extension_id,
@@ -281,15 +289,14 @@ def extend_campaign(
         doh_added=entry["doh_added"],
         do53_added=entry["do53_added"],
         clients_added=entry["clients_added"],
-        failures=list(delta["failures"]),
+        failures=delta_result.failures,
     )
 
 
-def _measure_delta(
-    plan: ExtensionPlan, ext: CampaignCheckpoint, progress
-) -> Tuple[Dict, int, int]:
-    """Run the delta campaign under *ext*'s ledger; returns the plain-
-    data delta blob plus (replayed, measured) batch counters."""
+def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
+                   progress) -> ShardResult:
+    """Run the delta campaign under *ext*'s ledger; returns it as one
+    shard result (batch counters included)."""
     world = build_world(plan.config)
     campaign = Campaign(
         world,
@@ -313,58 +320,28 @@ def _measure_delta(
         checkpoint.close()
     batch_size = max(1, plan.config.batch_size)
     num_batches = (len(nodes) + batch_size - 1) // batch_size
-    replayed = checkpoint.resumed_batches
 
     kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
     kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-    # Canonical delta order, independent of batching or resume point.
-    kept_doh.sort(key=lambda raw: (raw.node_id, raw.run_index, raw.provider))
-    kept_do53.sort(key=lambda raw: (raw.node_id, raw.run_index))
-
     qname_map: Dict[str, str] = {}
     for entry in world.auth_server.query_log:
         qname_map.setdefault(str(entry.qname), entry.src_ip)
-
     measured_ids = {raw.node_id for raw in kept_doh if raw.node_id}
     measured_ids.update(raw.node_id for raw in kept_do53 if raw.node_id)
-    delta = {
-        "kept_doh": kept_doh,
-        "kept_do53": kept_do53,
-        "dropped_doh": len(dropped_doh),
-        "dropped_do53": len(dropped_do53),
-        "qname_map": sorted(qname_map.items()),
-        "client_entries": [
+    return ShardResult(
+        shard_index=0,
+        kept_doh=kept_doh,
+        kept_do53=kept_do53,
+        dropped_doh=len(dropped_doh),
+        dropped_do53=len(dropped_do53),
+        qname_map=sorted(qname_map.items()),
+        client_entries=[
             (node.node_id, node.ip, node.claimed_country)
             for node in nodes
             if node.node_id in measured_ids
         ],
-        "geo_snapshot": world.geolocation.snapshot(),
-        "failures": sorted(campaign.failures, key=lambda f: f.node_id),
-        "num_batches": num_batches,
-    }
-    return delta, replayed, num_batches - replayed
-
-
-def _build_delta_dataset(plan: ExtensionPlan, delta: Dict) -> Dataset:
-    """Process a raw delta blob into a mergeable :class:`Dataset`."""
-    geolocation = GeolocationService.from_snapshot(
-        delta["geo_snapshot"],
-        error_rate=plan.config.geolocation_error_rate,
+        geo_snapshot=world.geolocation.snapshot(),
+        failures=list(campaign.failures),
+        resumed_batches=checkpoint.resumed_batches,
+        measured_batches=num_batches - checkpoint.resumed_batches,
     )
-    builder = DatasetBuilder(
-        geolocation,
-        min_clients_per_country=plan.config.population.analyzed_threshold,
-    )
-    builder.ingest_qname_map(delta["qname_map"])
-    clients = {
-        node_id: (ip, country)
-        for node_id, ip, country in delta["client_entries"]
-    }
-    for node_id in sorted(clients):
-        ip, country = clients[node_id]
-        builder.add_client(node_id, ip, country)
-    for raw in delta["kept_doh"]:
-        builder.add_doh(raw)
-    for raw in delta["kept_do53"]:
-        builder.add_do53(raw)
-    return builder.build()

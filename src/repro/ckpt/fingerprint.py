@@ -30,8 +30,9 @@ from repro.core.plan import WorldPlan
 
 __all__ = ["campaign_fingerprint"]
 
-#: Bump when the ledger/state format changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the ledger/state format changes incompatibly.  Format 2:
+#: wirepack ledger batches and sealed ``.result``/``.state``/config.
+FORMAT_VERSION = 2
 
 
 def campaign_fingerprint(

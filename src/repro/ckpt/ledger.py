@@ -1,14 +1,15 @@
 """The append-only, checksummed sample journal.
 
-One ledger file per unit of resumable work (the serial campaign, each
-measurement shard, the Atlas task).  The format is JSON Lines; every
-line is one record::
+One ledger file per unit of batched work (the serial campaign, each
+measurement shard, an extension delta).  The format is JSON Lines;
+every line is one record::
 
     {"k": <kind>, "n": <seq>, "p": <payload>, "c": <checksum>}
 
 * ``k`` — record kind (``header``, ``batch``, ``done``),
 * ``n`` — sequence number, contiguous from 0 (the header),
-* ``p`` — the payload (for ``batch``: the serialised raw samples),
+* ``p`` — the payload (for ``batch``: the raw samples as one base64
+  wirepack blob, see :mod:`repro.parallel.wirepack`),
 * ``c`` — BLAKE2b digest over the canonical JSON of ``[k, n, p]``.
 
 Appends are flushed and fsync'd before the writer reports the batch
@@ -16,10 +17,12 @@ committed, so a journal is always a prefix of what the campaign
 measured.  Readers verify checksums and sequence contiguity:
 
 * a corrupt or partial **final** record is a torn write from a crash —
-  it is dropped and the file truncated back to the clean prefix,
+  it is dropped and the file truncated back to the clean prefix; so is
+  a final record cut off before its newline,
 * corruption **before** the final record means the file was damaged at
   rest — that raises :class:`CheckpointCorruptionError` instead of
-  silently losing samples in the middle of a campaign.
+  silently losing samples in the middle of a campaign.  A damaged
+  newline that runs the last two records together counts as such.
 """
 
 from __future__ import annotations
@@ -118,6 +121,37 @@ class LedgerWriter:
         self.close()
 
 
+def _verify(data: Any, seq: int) -> LedgerRecord:
+    """The record *data* decodes to, checked as number *seq*; raises
+    ``ValueError`` naming what is wrong."""
+    if not isinstance(data, dict) or not {"k", "n", "p", "c"} <= set(data):
+        raise ValueError("not a ledger record")
+    kind, number, payload = data["k"], data["n"], data["p"]
+    if data["c"] != _checksum(kind, number, payload):
+        raise ValueError("checksum mismatch")
+    if number != seq:
+        raise ValueError(
+            "sequence gap (expected {}, found {})".format(seq, number)
+        )
+    if seq == 0 and kind != "header":
+        raise ValueError("first record is {!r}, not a header".format(kind))
+    return LedgerRecord(kind=kind, seq=seq, payload=payload)
+
+
+def _runs_on(line: bytes, seq: int) -> bool:
+    """Whether *line* holds a whole valid record *seq* with more bytes
+    after it: the newline that ended the record was damaged, which a
+    crash mid-append cannot do."""
+    try:
+        data, _end = json.JSONDecoder().raw_decode(
+            line.decode("utf-8", "replace")
+        )
+        _verify(data, seq)
+    except ValueError:
+        return False
+    return True
+
+
 def read_ledger(path: str) -> Optional[LedgerLoad]:
     """Load and verify a ledger; ``None`` when *path* does not exist.
 
@@ -133,60 +167,37 @@ def read_ledger(path: str) -> Optional[LedgerLoad]:
 
     records: List[LedgerRecord] = []
     offsets: List[int] = []
-    clean_bytes = 0
-    dropped_tail = False
     offset = 0
     lines = blob.split(b"\n")
-    # A well-formed file ends with a newline, so the final split piece
-    # is empty; anything else is a partially-written last line.
+    # Every append ends with a newline, so the piece after the last one
+    # is empty unless the final append was cut short.
+    tail = lines.pop()
+    dropped_tail = bool(tail)
     for index, line in enumerate(lines):
-        if not line:
-            offset += 1
-            continue
-        at_end = not any(lines[index + 1:])
-        error = None
         try:
-            data = json.loads(line.decode("utf-8"))
-            kind = data["k"]
-            seq = data["n"]
-            payload = data["p"]
-            if data["c"] != _checksum(kind, seq, payload):
-                error = "checksum mismatch"
-            elif seq != len(records):
-                error = "sequence gap (expected {}, found {})".format(
-                    len(records), seq
-                )
-            elif seq == 0 and kind != "header":
-                error = "first record is {!r}, not a header".format(kind)
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            error = "unparsable record ({})".format(exc)
-        if error is not None:
-            if at_end:
+            record = _verify(json.loads(line.decode("utf-8")), len(records))
+        except ValueError as exc:
+            final = index == len(lines) - 1 and not tail
+            if final and not _runs_on(line, len(records)):
                 dropped_tail = True
                 break
             raise CheckpointCorruptionError(
                 "{}: record {} is corrupt before the end of the journal: "
-                "{}".format(path, len(records), error)
+                "{}".format(path, len(records), exc)
             )
-        records.append(LedgerRecord(kind=kind, seq=seq, payload=payload))
+        records.append(record)
         offset += len(line) + 1
-        clean_bytes = offset
         offsets.append(offset)
     return LedgerLoad(
         records=records,
-        clean_bytes=clean_bytes,
+        clean_bytes=offset,
         dropped_tail=dropped_tail,
         offsets=offsets,
     )
 
 
 class LedgerReader:
-    """Convenience wrapper pairing :func:`read_ledger` with truncation."""
-
-    @staticmethod
-    def load(path: str) -> Optional[LedgerLoad]:
-        """Alias for :func:`read_ledger`."""
-        return read_ledger(path)
+    """Truncation of a ledger back to its verified prefix."""
 
     @staticmethod
     def truncate_to(path: str, clean_bytes: int) -> None:

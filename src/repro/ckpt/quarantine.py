@@ -29,7 +29,12 @@ import shutil
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.ckpt.checkpoint import CampaignCheckpoint, load_unit_result
+from repro.ckpt.checkpoint import (
+    CONFIG_NAME,
+    CampaignCheckpoint,
+    load_unit_result,
+)
+from repro.ckpt.fingerprint import FORMAT_VERSION
 from repro.ckpt.ledger import CheckpointCorruptionError, read_ledger
 
 __all__ = [
@@ -87,7 +92,7 @@ class CheckpointHealth:
 
 
 def verify_checkpoint_dir(directory: str) -> CheckpointHealth:
-    """Checksum-verify every ledger and result blob under *directory*.
+    """Checksum-verify every ledger and sealed blob under *directory*.
 
     Classifies the checkpoint for the resume-vs-quarantine decision;
     never modifies anything.  Nested extension checkpoints are not
@@ -95,6 +100,12 @@ def verify_checkpoint_dir(directory: str) -> CheckpointHealth:
     """
     health = CheckpointHealth(directory=directory)
     checkpoint = CampaignCheckpoint.load(directory)  # raises if no manifest
+    written = checkpoint.manifest.get("format")
+    if written != FORMAT_VERSION:
+        health._worsen("stale")
+        health.problems.append(
+            "checkpoint format {} (this version reads format {})".format(
+                written, FORMAT_VERSION))
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
         if name.endswith(".ledger"):
@@ -124,16 +135,14 @@ def verify_checkpoint_dir(directory: str) -> CheckpointHealth:
                     "safe to resume)".format(name))
             health.notes.append("{}: {} batch record(s), {}".format(
                 name, batches, "complete" if done else "in progress"))
-        elif name.endswith(".result"):
-            role = name[: -len(".result")]
-            if load_unit_result(
-                path, checkpoint.fingerprint, role
-            ) is None:
+        elif name.endswith((".result", ".state")) or name == CONFIG_NAME:
+            if load_unit_result(path, checkpoint.fingerprint) is None:
                 health._worsen("stale")
                 health.problems.append(
-                    "{}: unreadable or stale result blob".format(name))
+                    "{}: blob fails its seal (damaged or stale)".format(
+                        name))
             else:
-                health.notes.append("{}: result blob ok".format(name))
+                health.notes.append("{}: seal ok".format(name))
     return health
 
 

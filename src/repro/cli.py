@@ -256,15 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serial_batches(config) -> int:
-    """Batches the serial campaign runs (fleet size is plan-derived)."""
-    from repro.core.plan import WorldPlan
-
-    total = sum(WorldPlan.for_config(config).counts.values())
-    batch = max(1, config.batch_size)
-    return (total + batch - 1) // batch
-
-
 def _run_serial_campaign(args, config):
     """The workers=1 campaign path, optionally checkpointed."""
     from repro.obs import Observability
@@ -283,16 +274,6 @@ def _run_serial_campaign(args, config):
             },
             resume=args.resume,
         )
-        cached = checkpoint.load_result("serial")
-        if cached is not None:
-            print("checkpoint {} already holds the finished campaign; "
-                  "replaying it".format(args.checkpoint_dir))
-            batches = _serial_batches(config)
-            checkpoint.record_run({"workers": 1, "units": [{
-                "role": "serial", "batches_replayed": batches,
-                "batches_measured": 0}]})
-            checkpoint.mark_complete()
-            return cached
 
     print("building world (scale={}, seed={})...".format(
         args.scale, args.seed))
@@ -307,13 +288,16 @@ def _run_serial_campaign(args, config):
     )
     if checkpoint is None:
         return campaign.run()
+    # A finished checkpoint replays every batch from its ledger and
+    # restores the world after the last one, so the rest of the run
+    # (Atlas, dataset build) repeats the original exactly.
     measure = checkpoint.measure_checkpoint("serial")
     try:
         result = campaign.run(checkpoint=measure)
     finally:
         measure.close()
-    checkpoint.store_result("serial", result)
-    batches = _serial_batches(config)
+    batch = max(1, config.batch_size)
+    batches = (len(world.nodes()) + batch - 1) // batch
     checkpoint.record_run({"workers": 1, "units": [{
         "role": "serial",
         "batches_replayed": measure.resumed_batches,
@@ -732,13 +716,12 @@ def _ckpt_gc(args) -> int:
             elif any(r.kind == "done" for r in load.records):
                 complete_roles.add(name[: -len(".ledger")])
         elif name.endswith(".result"):
-            role = name[: -len(".result")]
-            if load_unit_result(
-                path, checkpoint.fingerprint, role
-            ) is None:
+            if load_unit_result(path, checkpoint.fingerprint) is None:
                 remove(path)
-    # State blobs of finished units are redundant: the ledger holds the
-    # samples and the result blob holds the outcome.
+    # State blobs of finished units with a result blob are redundant:
+    # the ledger holds the samples and the result blob the outcome.  A
+    # finished serial unit has no result blob; it replays from its
+    # ledger and state.
     for role in sorted(complete_roles):
         state = os.path.join(args.dir, role + ".state")
         result = os.path.join(args.dir, role + ".result")

@@ -379,7 +379,6 @@ class Campaign:
                         raw_doh[doh_before:],
                         raw_do53[do53_before:],
                         self.failures[failures_before:],
-                        force=batch_index == num_batches - 1,
                     )
                 if progress is not None:
                     progress(done_nodes, len(nodes))
@@ -387,7 +386,7 @@ class Campaign:
             if gc_was_enabled:
                 gc.enable()
         if checkpoint is not None:
-            checkpoint.finish(self)
+            checkpoint.finish()
             if self.obs is not None:
                 self.obs.metrics.set_gauge(
                     "ckpt.{}.batches_measured".format(checkpoint.role),

@@ -5,8 +5,8 @@ shard's campaign in a worker process, and merges the results into a
 single dataset that is byte-identical for any worker count.
 Every run dispatches through a pool: a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool` of worker processes
-(config/plan shipped once via shared memory, samples returned as
-packed binary blobs — see :mod:`repro.parallel.wirepack`), or the
+(config/plan shipped once via shared memory, each shard's result
+returned as one wirepack blob — see :mod:`repro.parallel.wirepack`), or the
 zero-process :class:`~repro.parallel.pool.InlinePool` for one worker
 and for campaigns below the break-even size.  Each worker builds its
 world once and restores it per task.  See ``docs/performance.md`` for
@@ -26,11 +26,7 @@ from repro.parallel.sharding import (
     make_shards,
     shard_items,
 )
-from repro.parallel.wirepack import (
-    PackedShardResult,
-    pack_shard_result,
-    unpack_shard_result,
-)
+from repro.parallel.wirepack import pack_shard_result, unpack_shard_result
 from repro.parallel.worker import (
     AtlasTask,
     ShardResult,
@@ -44,7 +40,6 @@ __all__ = [
     "AtlasTask",
     "DEFAULT_NUM_SHARDS",
     "InlinePool",
-    "PackedShardResult",
     "ShardExecutionError",
     "ShardResult",
     "ShardSpec",

@@ -70,6 +70,7 @@ __all__ = [
     "ShardExecutionError",
     "break_even_shard_nodes",
     "default_worker_count",
+    "merge_shard_results",
     "run_parallel_campaign",
 ]
 
@@ -315,14 +316,14 @@ def run_parallel_campaign(
         if owns_pool:
             pool.close()
     shard_results = [
-        unpack_shard_result(packed) for packed in outputs[: len(specs)]
+        unpack_shard_result(blob) for blob in outputs[: len(specs)]
     ]
     atlas_samples = (
         unpack_atlas_samples(outputs[len(specs)])
         if atlas_probes_per_country > 0 else []
     )
 
-    result = _merge(config, shard_results, atlas_samples)
+    result = merge_shard_results(config, shard_results, atlas_samples)
     if checkpoint is not None:
         checkpoint.record_run(
             {
@@ -343,12 +344,15 @@ def run_parallel_campaign(
     return result
 
 
-def _merge(
+def merge_shard_results(
     config: ReproConfig,
     shard_results: List[ShardResult],
     atlas_samples: List[AtlasRawSample],
 ) -> CampaignResult:
-    """Combine shard outputs into one canonical :class:`CampaignResult`."""
+    """Combine shard outputs into one canonical :class:`CampaignResult`.
+
+    ``ckpt extend`` merges its one delta result here too.
+    """
     shard_results = sorted(shard_results, key=lambda r: r.shard_index)
 
     snapshot = None

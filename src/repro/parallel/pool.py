@@ -18,9 +18,9 @@ protocol:
   differs only in its fault plan (the service's next epoch) is served
   by re-targeting the built world, and only a different world or a
   task that died mid-simulation forces a rebuild.
-* **Binary results.**  Shard samples return as one packed blob per
-  shard (:mod:`repro.parallel.wirepack`), not thousands of pickled
-  dataclasses.
+* **Binary results.**  Each shard's result returns as one wirepack
+  blob (:mod:`repro.parallel.wirepack`), the bytes a checkpointed
+  shard also stores, not thousands of pickled dataclasses.
 
 Crash/hang handling never deadlocks the parent: a dead worker is
 detected by polling, its task is retried on a respawned worker (safe —

@@ -1,11 +1,9 @@
-"""Compact binary wire format for shard results crossing process
-boundaries.
+"""Wirepack: the one binary encoding of measurement samples.
 
-The old transport pickled every ``DohRaw``/``Do53Raw`` dataclass
-individually inside a ``ShardResult`` — tens of thousands of small
-objects per shard, each paying pickle's per-object overhead twice
-(worker encode, parent decode).  This module packs a whole shard's
-samples into **one bytes blob** with a struct codec:
+Every sample the program ships or stores is wirepack: a shard's whole
+result crossing from a pool worker to the parent, the same bytes kept
+as the shard's sealed ``<role>.result`` checkpoint blob, and each
+ledger ``batch`` record (base64).  One blob holds
 
 * an interned string table (node ids, IPs, countries, providers,
   qnames, header keys — almost every string repeats many times per
@@ -18,24 +16,27 @@ samples into **one bytes blob** with a struct codec:
   is not associative; ``brightdata_ms`` sums header values, so order
   must survive the trip).
 
-:class:`PackedShardResult` is the pool's transport envelope: the
-sample blob plus the small plain-data sidecar fields (qname map,
-client rows, metrics/trace snapshots) that are cheap to pickle as-is.
-The parent decodes with :func:`unpack_shard_result` before merging.
+Decoders read bytes from disk and from other processes, so they check
+every length and index and reject trailing bytes: a malformed blob
+raises :class:`WirepackError`.  Wirepack has no checksum of its own;
+on disk, a ledger record checksum or a seal
+(:func:`repro.ckpt.checkpoint.seal`) guards every blob.
 """
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.campaign import AtlasRawSample, NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
+from repro.geo.coords import LatLon
+from repro.geo.geolocate import GeoRecord
 from repro.proxy.headers import TimelineHeaders
 
 __all__ = [
-    "PackedShardResult",
+    "WirepackError",
     "pack_atlas_samples",
     "pack_samples",
     "pack_shard_result",
@@ -93,6 +94,11 @@ class _Packer:
 
     def f64x4(self, a: float, b: float, c: float, d: float) -> None:
         self.buf += _F64X4.pack(a, b, c, d)
+
+    def raw(self, data: bytes) -> None:
+        """Length-prefixed bytes, kept out of the string table."""
+        self.varint(len(data))
+        self.buf += data
 
     def headers(self, headers: TimelineHeaders) -> None:
         for mapping in (headers.tun, headers.box):
@@ -177,12 +183,32 @@ class _Unpacker:
         self.pos += 32
         return values
 
-    def byte(self) -> int:
+    def flag(self) -> bool:
         if self.pos >= len(self.blob):
             raise WirepackError("truncated wirepack blob")
         value = self.blob[self.pos]
+        if value > 1:
+            raise WirepackError("bad wirepack flag byte {}".format(value))
         self.pos += 1
-        return value
+        return value == 1
+
+    def raw(self) -> bytes:
+        length = self.varint()
+        end = self.pos + length
+        if end > len(self.blob):
+            raise WirepackError("truncated wirepack blob")
+        data = self.blob[self.pos:end]
+        self.pos = end
+        return data
+
+    def finish(self) -> None:
+        """Reject anything past the last record."""
+        extra = len(self.blob) - self.pos
+        if extra:
+            raise WirepackError(
+                "{} trailing byte(s) after the wirepack records".format(
+                    extra)
+            )
 
     def headers(self) -> TimelineHeaders:
         tun = {}
@@ -223,7 +249,7 @@ def _unpack_doh(unpacker: _Unpacker) -> DohRaw:
     error = unpacker.string()
     t_a, t_b, t_c, t_d = unpacker.f64x4()
     run_index = unpacker.varint()
-    success = bool(unpacker.byte())
+    success = unpacker.flag()
     headers = unpacker.headers()
     return DohRaw(
         node_id=node_id, exit_ip=exit_ip, claimed_country=claimed_country,
@@ -255,7 +281,7 @@ def _unpack_do53(unpacker: _Unpacker) -> Do53Raw:
     error = unpacker.string()
     dns_ms = unpacker.f64()
     run_index = unpacker.varint()
-    success = bool(unpacker.byte())
+    success = unpacker.flag()
     headers = unpacker.headers()
     return Do53Raw(
         node_id=node_id, exit_ip=exit_ip, claimed_country=claimed_country,
@@ -265,13 +291,12 @@ def _unpack_do53(unpacker: _Unpacker) -> Do53Raw:
     )
 
 
-def pack_samples(
+def _pack_sample_lists(
+    packer: _Packer,
     doh: List[DohRaw],
     do53: List[Do53Raw],
     failures: List[NodeFailure],
-) -> bytes:
-    """Pack one shard's samples into a single binary blob."""
-    packer = _Packer()
+) -> None:
     packer.varint(len(doh))
     packer.varint(len(do53))
     packer.varint(len(failures))
@@ -283,14 +308,11 @@ def pack_samples(
         packer.string(failure.node_id)
         packer.string(failure.error)
         packer.varint(failure.attempts)
-    return packer.assemble()
 
 
-def unpack_samples(
-    blob: bytes,
+def _unpack_sample_lists(
+    unpacker: _Unpacker,
 ) -> Tuple[List[DohRaw], List[Do53Raw], List[NodeFailure]]:
-    """Decode a :func:`pack_samples` blob back into raw records."""
-    unpacker = _Unpacker(blob)
     n_doh = unpacker.varint()
     n_do53 = unpacker.varint()
     n_fail = unpacker.varint()
@@ -305,6 +327,27 @@ def unpack_samples(
         for _ in range(n_fail)
     ]
     return doh, do53, failures
+
+
+def pack_samples(
+    doh: List[DohRaw],
+    do53: List[Do53Raw],
+    failures: List[NodeFailure],
+) -> bytes:
+    """Pack one batch's (or shard's) samples into a single blob."""
+    packer = _Packer()
+    _pack_sample_lists(packer, doh, do53, failures)
+    return packer.assemble()
+
+
+def unpack_samples(
+    blob: bytes,
+) -> Tuple[List[DohRaw], List[Do53Raw], List[NodeFailure]]:
+    """Decode a :func:`pack_samples` blob back into raw records."""
+    unpacker = _Unpacker(blob)
+    samples = _unpack_sample_lists(unpacker)
+    unpacker.finish()
+    return samples
 
 
 def pack_atlas_samples(samples: List[AtlasRawSample]) -> bytes:
@@ -322,7 +365,7 @@ def pack_atlas_samples(samples: List[AtlasRawSample]) -> bytes:
 def unpack_atlas_samples(blob: bytes) -> List[AtlasRawSample]:
     """Decode a :func:`pack_atlas_samples` blob back into tuples."""
     unpacker = _Unpacker(blob)
-    return [
+    samples = [
         (
             unpacker.string(),
             unpacker.string(),
@@ -331,69 +374,107 @@ def unpack_atlas_samples(blob: bytes) -> List[AtlasRawSample]:
         )
         for _ in range(unpacker.varint())
     ]
+    unpacker.finish()
+    return samples
 
 
-# -- the transport envelope -------------------------------------------------
+# -- whole shard results ----------------------------------------------------
 
 
-@dataclass
-class PackedShardResult:
-    """A :class:`~repro.parallel.worker.ShardResult` in transport form.
+def pack_shard_result(result) -> bytes:
+    """Encode a worker's whole ``ShardResult`` as one blob.
 
-    ``payload`` holds every raw sample (and failure record) in wirepack
-    form; the remaining fields are small plain data that pickle cheaply
-    through the result queue.
+    Samples, failures, counters, qname map, client rows and the
+    geolocation snapshot are wirepack records; the optional metrics and
+    trace snapshots, already plain JSON-able data, ride along as one
+    JSON section.
     """
-
-    shard_index: int
-    payload: bytes
-    dropped_doh: int
-    dropped_do53: int
-    qname_map: List[Tuple[str, str]]
-    client_entries: List[Tuple[str, str, str]]
-    geo_snapshot: Optional[Dict]
-    metrics: Optional[Dict]
-    traces: Optional[List[Dict]]
-    resumed_batches: int
-    measured_batches: int
-
-
-def pack_shard_result(result) -> PackedShardResult:
-    """Envelope a worker's ``ShardResult`` for the trip to the parent."""
-    return PackedShardResult(
-        shard_index=result.shard_index,
-        payload=pack_samples(
-            result.kept_doh, result.kept_do53, result.failures
-        ),
-        dropped_doh=result.dropped_doh,
-        dropped_do53=result.dropped_do53,
-        qname_map=result.qname_map,
-        client_entries=result.client_entries,
-        geo_snapshot=result.geo_snapshot,
-        metrics=result.metrics,
-        traces=result.traces,
-        resumed_batches=result.resumed_batches,
-        measured_batches=result.measured_batches,
+    packer = _Packer()
+    packer.varint(result.shard_index)
+    _pack_sample_lists(
+        packer, result.kept_doh, result.kept_do53, result.failures
     )
+    for count in (result.dropped_doh, result.dropped_do53,
+                  result.resumed_batches, result.measured_batches):
+        packer.varint(count)
+    packer.varint(len(result.qname_map))
+    for qname, resolver_ip in result.qname_map:
+        packer.string(qname)
+        packer.string(resolver_ip)
+    packer.varint(len(result.client_entries))
+    for node_id, ip, country in result.client_entries:
+        packer.string(node_id)
+        packer.string(ip)
+        packer.string(country)
+    geo = result.geo_snapshot
+    packer.buf.append(0 if geo is None else 1)
+    if geo is not None:
+        packer.varint(len(geo))
+        for prefix, record in geo.items():
+            packer.varint(prefix)
+            packer.string(record.country_code)
+            packer.f64(record.location.lat)
+            packer.f64(record.location.lon)
+    packer.raw(json.dumps(
+        [result.metrics, result.traces], separators=(",", ":")
+    ).encode("ascii"))
+    return packer.assemble()
 
 
-def unpack_shard_result(packed: PackedShardResult):
-    """Decode a :class:`PackedShardResult` back into a ``ShardResult``."""
+def unpack_shard_result(blob: bytes):
+    """Decode a :func:`pack_shard_result` blob back into a ``ShardResult``."""
     from repro.parallel.worker import ShardResult
 
-    doh, do53, failures = unpack_samples(packed.payload)
+    unpacker = _Unpacker(blob)
+    shard_index = unpacker.varint()
+    doh, do53, failures = _unpack_sample_lists(unpacker)
+    dropped_doh, dropped_do53, resumed, measured = [
+        unpacker.varint() for _ in range(4)
+    ]
+    qname_map = [
+        (unpacker.string(), unpacker.string())
+        for _ in range(unpacker.varint())
+    ]
+    client_entries = [
+        (unpacker.string(), unpacker.string(), unpacker.string())
+        for _ in range(unpacker.varint())
+    ]
+    geo: Optional[Dict[int, GeoRecord]] = None
+    if unpacker.flag():
+        geo = {}
+        for _ in range(unpacker.varint()):
+            prefix = unpacker.varint()
+            code = unpacker.string()
+            lat = unpacker.f64()
+            lon = unpacker.f64()
+            try:
+                geo[prefix] = GeoRecord(code, LatLon(lat, lon))
+            except ValueError as exc:
+                raise WirepackError(
+                    "bad geolocation record: {}".format(exc)
+                ) from None
+    try:
+        section = json.loads(unpacker.raw().decode("ascii"))
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise WirepackError(
+            "corrupt metrics/traces section: {}".format(exc)
+        ) from None
+    if not isinstance(section, list) or len(section) != 2:
+        raise WirepackError("corrupt metrics/traces section")
+    metrics, traces = section
+    unpacker.finish()
     return ShardResult(
-        shard_index=packed.shard_index,
+        shard_index=shard_index,
         kept_doh=doh,
         kept_do53=do53,
-        dropped_doh=packed.dropped_doh,
-        dropped_do53=packed.dropped_do53,
-        qname_map=packed.qname_map,
-        client_entries=packed.client_entries,
-        geo_snapshot=packed.geo_snapshot,
+        dropped_doh=dropped_doh,
+        dropped_do53=dropped_do53,
+        qname_map=qname_map,
+        client_entries=client_entries,
+        geo_snapshot=geo,
         failures=failures,
-        metrics=packed.metrics,
-        traces=packed.traces,
-        resumed_batches=packed.resumed_batches,
-        measured_batches=packed.measured_batches,
+        metrics=metrics,
+        traces=traces,
+        resumed_batches=resumed,
+        measured_batches=measured,
     )

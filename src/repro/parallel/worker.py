@@ -7,10 +7,11 @@ process for the inline pool) holds one :class:`WarmWorld`: the world
 of the ``(ReproConfig, WorldPlan)`` pair the pool primed, built once
 and restored to its pristine post-boot state for every task.  A task
 carries only its per-unit fields, runs its slice of the campaign, and
-ships plain-data results back:
+ships its result back as one wirepack blob — the same bytes a
+checkpointed task keeps as its sealed ``<role>.result``:
 
 * raw :class:`DohRaw`/:class:`Do53Raw` records (post Maxmind
-  validation, with discard counts), packed into one wirepack blob,
+  validation, with discard counts),
 * the authoritative server's query log reduced to ``(qname,
   resolver_ip)`` pairs for the PoP join,
 * the measured nodes' identity rows for client registration,
@@ -45,9 +46,9 @@ from repro.geo.geolocate import GeoRecord
 from repro.obs import Observability
 from repro.parallel.sharding import ShardSpec, shard_items
 from repro.parallel.wirepack import (
-    PackedShardResult,
     pack_atlas_samples,
     pack_shard_result,
+    unpack_shard_result,
 )
 
 __all__ = [
@@ -218,15 +219,14 @@ class ShardResult:
     measured_batches: int = 0
 
 
-def run_measurement_shard(
-    task: ShardTask, warm: WarmWorld
-) -> PackedShardResult:
+def run_measurement_shard(task: ShardTask, warm: WarmWorld) -> bytes:
     """Measure this shard's slice of the fleet on *warm*'s world.
 
-    Returns the result packed for transport; the parent decodes it with
-    :func:`~repro.parallel.wirepack.unpack_shard_result`.  A shard whose
-    ``.result`` blob already matches the fingerprint never checks a
-    world out.
+    Returns the result packed by
+    :func:`~repro.parallel.wirepack.pack_shard_result`; the parent
+    decodes it with :func:`~repro.parallel.wirepack.unpack_shard_result`.
+    A shard whose sealed ``.result`` blob already matches the
+    fingerprint never checks a world out.
     """
     spec = task.spec
     role = "shard-{}".format(spec.shard_index)
@@ -234,13 +234,14 @@ def run_measurement_shard(
     result_path = None
     if task.checkpoint_dir:
         result_path = os.path.join(task.checkpoint_dir, role + ".result")
-        cached = load_unit_result(result_path, task.fingerprint, role)
+        cached = load_unit_result(result_path, task.fingerprint)
         if cached is not None:
             # The shard finished in an earlier run; nothing measured
             # this invocation (re-stamp the per-run counters).
-            cached.resumed_batches += cached.measured_batches
-            cached.measured_batches = 0
-            return pack_shard_result(cached)
+            result = unpack_shard_result(cached)
+            result.resumed_batches += result.measured_batches
+            result.measured_batches = 0
+            return pack_shard_result(result)
         checkpoint = MeasureCheckpoint(
             task.checkpoint_dir, role, task.fingerprint
         )
@@ -319,9 +320,10 @@ def run_measurement_shard(
         resumed_batches=resumed,
         measured_batches=num_batches - resumed,
     )
+    blob = pack_shard_result(result)
     if result_path is not None:
-        store_unit_result(result_path, task.fingerprint, role, result)
-    return pack_shard_result(result)
+        store_unit_result(result_path, task.fingerprint, blob)
+    return blob
 
 
 def run_atlas_task(task: AtlasTask, warm: WarmWorld) -> bytes:
@@ -333,9 +335,9 @@ def run_atlas_task(task: AtlasTask, warm: WarmWorld) -> bytes:
     result_path = None
     if task.checkpoint_dir:
         result_path = os.path.join(task.checkpoint_dir, "atlas.result")
-        cached = load_unit_result(result_path, task.fingerprint, "atlas")
+        cached = load_unit_result(result_path, task.fingerprint)
         if cached is not None:
-            return pack_atlas_samples(cached)
+            return cached
     campaign = Campaign(
         warm.checkout(),
         atlas_probes_per_country=task.probes_per_country,
@@ -343,7 +345,7 @@ def run_atlas_task(task: AtlasTask, warm: WarmWorld) -> bytes:
         client_seed=task.client_seed,
         client_name_tag=task.name_tag,
     )
-    samples = campaign.collect_atlas()
+    blob = pack_atlas_samples(campaign.collect_atlas())
     if result_path is not None:
-        store_unit_result(result_path, task.fingerprint, "atlas", samples)
-    return pack_atlas_samples(samples)
+        store_unit_result(result_path, task.fingerprint, blob)
+    return blob

@@ -58,7 +58,6 @@ else:
         result = campaign.run(checkpoint=measure)
     finally:
         measure.close()
-    checkpoint.store_result("serial", result)
     checkpoint.record_run({"workers": 1, "units": [{
         "role": "serial",
         "batches_replayed": measure.resumed_batches,

@@ -44,7 +44,6 @@ def base(tmp_path_factory):
         result = campaign.run(checkpoint=measure)
     finally:
         measure.close()
-    checkpoint.store_result("serial", result)
     checkpoint.record_run({"workers": 1, "units": [{"role": "serial"}]})
     checkpoint.mark_complete()
     return directory, result.dataset

@@ -1,5 +1,6 @@
 """Unit tests for the append-only sample ledger."""
 
+import base64
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from repro.ckpt.ledger import (
     LedgerWriter,
     read_ledger,
 )
+from repro.core.campaign import NodeFailure
+from repro.parallel.wirepack import pack_samples
 
 
 def write_journal(path, batches=3):
@@ -141,3 +144,55 @@ class TestWriterDiscipline:
             assert writer.append("batch", {"i": 1}) == 2
         reload = read_ledger(str(path))
         assert [r.seq for r in reload.records] == [0, 1, 2]
+
+
+class TestDamageAnywhere:
+    """Cut or bit-flip a checkpoint ledger of 3 batches at every offset:
+    the reader keeps a prefix of what was written, losing at most the
+    final record (a torn tail), or raises."""
+
+    @pytest.fixture()
+    def ledger(self, tmp_path):
+        path = tmp_path / "shard-0.ledger"
+        with LedgerWriter(str(path)) as writer:
+            writer.append("header", {"fingerprint": "ab" * 20,
+                                     "role": "shard-0", "format": 2})
+            for index in range(3):
+                blob = pack_samples([], [], [NodeFailure(
+                    "DE-{:04d}".format(index), "hung", index)])
+                writer.append("batch", base64.b64encode(blob).decode())
+            writer.append("done", {"batches": 3})
+        pristine = path.read_bytes()
+        written = read_ledger(str(path)).records
+        assert len(written) == 5
+        return path, pristine, written
+
+    def test_every_cut_drops_only_the_cut_record(self, ledger):
+        path, pristine, written = ledger
+        ends = [0] + [
+            index + 1 for index, byte in enumerate(pristine)
+            if byte == ord("\n")
+        ]
+        for cut in range(len(pristine) + 1):
+            path.write_bytes(pristine[:cut])
+            load = read_ledger(str(path))
+            whole = sum(1 for end in ends[1:] if end <= cut)
+            assert load.records == written[:whole], cut
+            assert load.dropped_tail == (cut not in ends), cut
+            assert load.clean_bytes == ends[whole], cut
+
+    def test_every_bit_flip_drops_the_final_record_or_raises(self, ledger):
+        path, pristine, written = ledger
+        for offset in range(len(pristine)):
+            for bit in range(8):
+                damaged = bytearray(pristine)
+                damaged[offset] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                try:
+                    load = read_ledger(str(path))
+                except CheckpointCorruptionError:
+                    continue
+                kept = len(load.records)
+                assert kept >= len(written) - 1, (offset, bit)
+                assert load.records == written[:kept], (offset, bit)
+                assert load.dropped_tail == (kept < len(written))

@@ -21,6 +21,7 @@ from repro.parallel import (
     ShardTask,
     WarmWorld,
     make_shards,
+    pack_shard_result,
     run_measurement_shard,
 )
 from repro.service import ServiceConfig, ServiceSupervisor
@@ -107,7 +108,6 @@ class TestRetarget:
         warm.release()
         warm.prime(self.SERVICE.epoch_config(epoch), self.PLAN)
         packed = run_measurement_shard(task, warm)
-        assert packed.payload == reference.payload
         assert packed == reference
         # The next task restores the snapshot taken after re-targeting.
         warm.release()
@@ -177,7 +177,8 @@ def test_cached_task_after_a_failure_keeps_the_world_dirty(
     # Shard 1 finished in an earlier run: its task returns the cached
     # blob without checking the world out.
     store_unit_result(
-        str(tmp_path / "shard-1.result"), "fp", "shard-1", ShardResult(1)
+        str(tmp_path / "shard-1.result"), "fp",
+        pack_shard_result(ShardResult(1)),
     )
     cached = ShardTask(
         make_shards(service.num_shards)[1],

@@ -1,20 +1,25 @@
-"""The binary shard-result codec (``repro.parallel.wirepack``).
+"""The binary sample codec (``repro.parallel.wirepack``).
 
-The codec is transport for the byte-identity invariant: every decoded
-record must compare equal to the original field for field — floats
-exactly (struct doubles, no text round-trip), header key order
-preserved (float addition is not associative; ``brightdata_ms`` sums
-the box values in insertion order).
+The codec carries the byte-identity invariant between processes and
+into checkpoint files: every decoded record must compare equal to the
+original field for field — floats exactly (struct doubles, no text
+round-trip), header key order preserved (float addition is not
+associative; ``brightdata_ms`` sums the box values in insertion
+order) — and a malformed blob must raise, never decode to something
+else.  The property tests run derandomized, so a failure in CI
+replays with the same examples locally.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
+from repro.geo.coords import LatLon
+from repro.geo.geolocate import GeoRecord
 from repro.parallel.wirepack import (
-    PackedShardResult,
     WirepackError,
     pack_atlas_samples,
     pack_samples,
@@ -177,7 +182,116 @@ class TestShardResultEnvelope:
             measured_batches=3,
         )
         packed = pack_shard_result(result)
-        assert isinstance(packed, PackedShardResult)
-        assert isinstance(packed.payload, bytes)
+        assert isinstance(packed, bytes)
         restored = unpack_shard_result(packed)
         assert restored == result
+
+
+class TestTrailingBytes:
+    @pytest.mark.parametrize("pack, unpack, value", [
+        (lambda v: pack_samples(*v), unpack_samples, ([], [], [])),
+        (lambda v: pack_samples(*v), unpack_samples,
+         ([_doh(1)], [_do53(2)], [NodeFailure("n", "e", 1)])),
+        (pack_atlas_samples, unpack_atlas_samples, [("p", "BR", 0, 1.5)]),
+        (pack_shard_result, unpack_shard_result, ShardResult(0)),
+    ])
+    def test_every_decoder_rejects_trailing_bytes(self, pack, unpack, value):
+        blob = pack(value)
+        for extra in (b"\x00", b"garbage"):
+            with pytest.raises(WirepackError, match="trailing"):
+                unpack(blob + extra)
+
+
+# -- properties ---------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
+
+#: Every double, with the awkward ones drawn often: signed zero,
+#: subnormals, the largest finite value, and both infinities.
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.0 ** -1030, 1.7976931348623157e308,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+#: Non-ASCII included; strings and header keys go through UTF-8.
+TEXT = st.text(max_size=8)
+HEADERS = st.builds(
+    TimelineHeaders,
+    tun=st.dictionaries(TEXT, FLOATS, max_size=4),
+    box=st.dictionaries(TEXT, FLOATS, max_size=4),
+)
+DOH = st.builds(
+    DohRaw, node_id=TEXT, exit_ip=TEXT, claimed_country=TEXT,
+    provider=TEXT, qname=TEXT, t_a=FLOATS, t_b=FLOATS, t_c=FLOATS,
+    t_d=FLOATS, headers=HEADERS, tls_version=TEXT,
+    run_index=st.integers(0, 2 ** 64), success=st.booleans(), error=TEXT,
+)
+DO53 = st.builds(
+    Do53Raw, node_id=TEXT, exit_ip=TEXT, claimed_country=TEXT, qname=TEXT,
+    dns_ms=FLOATS, headers=HEADERS, resolved_at=TEXT,
+    run_index=st.integers(0, 2 ** 64), success=st.booleans(), error=TEXT,
+)
+FAILURE = st.builds(NodeFailure, node_id=TEXT, error=TEXT,
+                    attempts=st.integers(0, 1000))
+#: The plain data of metrics and trace snapshots.
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(TEXT, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+GEO = st.dictionaries(
+    st.integers(0, 2 ** 32 - 1),
+    st.builds(GeoRecord, country_code=TEXT, location=st.builds(
+        LatLon, st.floats(-90, 90), st.floats(-180, 180))),
+    max_size=3,
+)
+COUNT = st.integers(0, 2 ** 40)
+SHARD_RESULTS = st.builds(
+    ShardResult,
+    shard_index=st.integers(0, 4096),
+    kept_doh=st.lists(DOH, max_size=4),
+    kept_do53=st.lists(DO53, max_size=4),
+    dropped_doh=COUNT,
+    dropped_do53=COUNT,
+    qname_map=st.lists(st.tuples(TEXT, TEXT), max_size=3),
+    client_entries=st.lists(st.tuples(TEXT, TEXT, TEXT), max_size=3),
+    geo_snapshot=st.none() | GEO,
+    failures=st.lists(FAILURE, max_size=3),
+    metrics=st.none() | st.dictionaries(TEXT, JSON, max_size=3),
+    traces=st.none() | st.lists(st.dictionaries(TEXT, JSON, max_size=3),
+                                max_size=3),
+    resumed_batches=COUNT,
+    measured_batches=COUNT,
+)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(SHARD_RESULTS)
+    def test_shard_results_round_trip_to_the_same_bytes(self, result):
+        blob = pack_shard_result(result)
+        decoded = unpack_shard_result(blob)
+        assert decoded == result
+        # Equality cannot see -0.0 vs 0.0 or header order; bytes can.
+        assert pack_shard_result(decoded) == blob
+
+    @settings(PROPERTY, max_examples=40)
+    @given(SHARD_RESULTS)
+    def test_every_truncation_raises(self, result):
+        blob = pack_shard_result(result)
+        for cut in range(len(blob)):
+            with pytest.raises(WirepackError):
+                unpack_shard_result(blob[:cut])
+
+    @PROPERTY
+    @given(st.lists(DOH, max_size=3), st.lists(DO53, max_size=3),
+           st.lists(FAILURE, max_size=3))
+    def test_sample_lists_round_trip_to_the_same_bytes(self, doh, do53,
+                                                       failures):
+        blob = pack_samples(doh, do53, failures)
+        decoded = unpack_samples(blob)
+        assert decoded == (doh, do53, failures)
+        assert pack_samples(*decoded) == blob

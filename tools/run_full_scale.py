@@ -136,7 +136,6 @@ def main() -> None:
                                       checkpoint=measure)
             finally:
                 measure.close()
-            checkpoint.store_result("serial", result)
             num_batches = -(-len(world.nodes()) // max(1, config.batch_size))
             checkpoint.record_run({"workers": 1, "units": [{
                 "role": "serial",
