@@ -20,8 +20,9 @@ Honesty rules, learned the hard way (the pre-pool artifact recorded a
 * ``gate`` in the artifact says which bar applied and whether it was
   enforced or skipped.
 
-The parallel run sets ``force_pool=True``: the benchmark exists to
-measure the pooled path, never the break-even inline fallback.
+The parallel run passes its own ``WarmWorkerPool``, created and closed
+inside the timed span: the benchmark exists to measure the pooled path
+(spawn, prime, run and close), never the break-even inline fallback.
 
 Scale is controlled with ``REPRO_PARALLEL_BENCH_SCALE`` (default 0.01,
 about 480 exit nodes — enough work for the pool to amortise its one
@@ -39,7 +40,7 @@ from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.world import build_world
 from repro.ioutil import atomic_write_json
-from repro.parallel import run_parallel_campaign
+from repro.parallel import WarmWorkerPool, run_parallel_campaign
 from repro.parallel.executor import default_worker_count
 from repro.proxy.population import PopulationConfig
 
@@ -71,13 +72,14 @@ def test_sharded_executor_speedup():
     serial_count = _measurements(serial_result)
 
     started = time.perf_counter()
-    parallel_result = run_parallel_campaign(
-        config,
-        workers=max(2, workers),
-        num_shards=NUM_SHARDS,
-        atlas_probes_per_country=0,
-        force_pool=True,
-    )
+    with WarmWorkerPool(max(2, workers)) as pool:
+        parallel_result = run_parallel_campaign(
+            config,
+            workers=max(2, workers),
+            num_shards=NUM_SHARDS,
+            atlas_probes_per_country=0,
+            pool=pool,
+        )
     parallel_s = time.perf_counter() - started
     parallel_count = _measurements(parallel_result)
 
@@ -99,7 +101,7 @@ def test_sharded_executor_speedup():
         "cores": cores,
         "workers": max(2, workers),
         "num_shards": NUM_SHARDS,
-        "mode": "warm-pool (force_pool)",
+        "mode": "warm-pool (explicit pool)",
         "measurements": serial_count,
         "serial_seconds": round(serial_s, 3),
         "parallel_seconds": round(parallel_s, 3),

@@ -11,7 +11,9 @@ Layout of a checkpoint directory::
                               each batch record is one base64 wirepack
                               blob (:mod:`repro.parallel.wirepack`)
     <dir>/<role>.state        sealed pickle of the world+campaign
-                              mutable state at the last committed batch
+                              mutable state at the last committed
+                              batch (removed once the unit's
+                              ``.result`` is stored)
     <dir>/<role>.result       sealed wirepack result of a finished
                               shard, Atlas or extension delta
     <dir>/ext-<n>/            nested checkpoint of extension n
@@ -372,10 +374,19 @@ def load_unit_result(path: str, fingerprint: str) -> Optional[bytes]:
 
 def store_unit_result(path: str, fingerprint: str, payload: bytes) -> None:
     """Seal *payload* and atomically write it to *path* (workers know
-    only paths, never the manifest)."""
+    only paths, never the manifest).
+
+    A sealed ``<role>.result`` supersedes the unit's ``<role>.state``,
+    which is then removed: should the result later fail its seal, the
+    unit is measured again from batch 0, the byte-safe path.
+    """
     atomic_write_bytes(
         path, seal(payload, fingerprint, os.path.basename(path))
     )
+    try:
+        os.remove(os.path.splitext(path)[0] + ".state")
+    except FileNotFoundError:
+        pass
 
 
 class MeasureCheckpoint:

@@ -31,18 +31,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.ckpt.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.ckpt.fingerprint import campaign_fingerprint
 from repro.core.campaign import Campaign, NodeFailure
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
-from repro.core.validation import filter_mismatched
 from repro.core.world import build_world
 from repro.dataset.store import Dataset
 from repro.parallel.wirepack import pack_shard_result, unpack_shard_result
-from repro.parallel.worker import ShardResult
+from repro.parallel.worker import ShardResult, measure_shard
 
 __all__ = [
     "ExtendResult",
@@ -311,37 +310,6 @@ def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
     if plan.kind == "nodes":
         base_ids = fleet_node_ids(plan.base_config)
         nodes = [node for node in nodes if node.node_id not in base_ids]
-    checkpoint = ext.measure_checkpoint("delta")
-    try:
-        raw_doh, raw_do53 = campaign.measure(
-            nodes, progress, checkpoint=checkpoint
-        )
-    finally:
-        checkpoint.close()
-    batch_size = max(1, plan.config.batch_size)
-    num_batches = (len(nodes) + batch_size - 1) // batch_size
-
-    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
-    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-    qname_map: Dict[str, str] = {}
-    for entry in world.auth_server.query_log:
-        qname_map.setdefault(str(entry.qname), entry.src_ip)
-    measured_ids = {raw.node_id for raw in kept_doh if raw.node_id}
-    measured_ids.update(raw.node_id for raw in kept_do53 if raw.node_id)
-    return ShardResult(
-        shard_index=0,
-        kept_doh=kept_doh,
-        kept_do53=kept_do53,
-        dropped_doh=len(dropped_doh),
-        dropped_do53=len(dropped_do53),
-        qname_map=sorted(qname_map.items()),
-        client_entries=[
-            (node.node_id, node.ip, node.claimed_country)
-            for node in nodes
-            if node.node_id in measured_ids
-        ],
-        geo_snapshot=world.geolocation.snapshot(),
-        failures=list(campaign.failures),
-        resumed_batches=checkpoint.resumed_batches,
-        measured_batches=num_batches - checkpoint.resumed_batches,
+    return measure_shard(
+        campaign, nodes, 0, ext.measure_checkpoint("delta"), progress
     )

@@ -93,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--shard-retries", type=int, default=2,
                           help="max retries per shard task after a worker "
                                "crash or watchdog timeout")
-    campaign.add_argument("--parallel-break-even", type=int, default=None,
-                          metavar="NODES",
-                          help="minimum nodes per shard before worker "
-                               "processes pay off; campaigns below the "
-                               "line run inline (0 = always use the "
-                               "pool; default 32, or env "
-                               "REPRO_PARALLEL_BREAK_EVEN)")
     campaign.add_argument("--observe", action="store_true",
                           help="record phase traces and metrics; writes "
                                "<out>.traces.json next to the dataset "
@@ -130,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ck_verify.add_argument("dir", help="checkpoint directory")
     ck_gc = cksub.add_parser(
-        "gc", help="prune temp files, stale units, and redundant state"
+        "gc", help="prune temp files and stale units"
     )
     ck_gc.add_argument("dir", help="checkpoint directory")
     ck_extend = cksub.add_parser(
@@ -352,7 +345,6 @@ def _cmd_campaign(args) -> int:
             observe=args.observe,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            break_even_nodes=args.parallel_break_even,
         )
     else:
         result = _run_serial_campaign(args, config)
@@ -629,9 +621,10 @@ def _ckpt_status(args) -> int:
     print("status:       {}".format(manifest.get("status")))
     execution = manifest.get("execution", {})
     if execution:
+        # Unset knobs (None, e.g. no max_nodes cap) are left out.
         print("execution:    " + ", ".join(
             "{}={}".format(key, execution[key])
-            for key in sorted(execution)))
+            for key in sorted(execution) if execution[key] is not None))
     for index, run in enumerate(manifest.get("runs", [])):
         units = run.get("units", [])
         print("run {}: {}".format(index, ", ".join(
@@ -640,6 +633,12 @@ def _ckpt_status(args) -> int:
                 unit.get("batches_measured"))
             for unit in units) or "(no units recorded)"))
     for entry in manifest.get("lineage", []):
+        if "service_epoch" in entry:
+            print("service epoch {}: previous={} digest={}".format(
+                entry["service_epoch"],
+                entry.get("previous_epoch_fingerprint") or "-",
+                entry.get("dataset_digest")))
+            continue
         print("extension {}: kind={} measured={} doh+{} do53+{} "
               "clients+{}".format(
                   entry.get("extension"), entry.get("kind"),
@@ -698,7 +697,6 @@ def _ckpt_gc(args) -> int:
         os.remove(path)
         removed.append(os.path.basename(path))
 
-    complete_roles = set()
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if not os.path.isfile(path):
@@ -713,20 +711,9 @@ def _ckpt_gc(args) -> int:
             header = load.header.payload if load.header else {}
             if header.get("fingerprint") != checkpoint.fingerprint:
                 remove(path)
-            elif any(r.kind == "done" for r in load.records):
-                complete_roles.add(name[: -len(".ledger")])
         elif name.endswith(".result"):
             if load_unit_result(path, checkpoint.fingerprint) is None:
                 remove(path)
-    # State blobs of finished units with a result blob are redundant:
-    # the ledger holds the samples and the result blob the outcome.  A
-    # finished serial unit has no result blob; it replays from its
-    # ledger and state.
-    for role in sorted(complete_roles):
-        state = os.path.join(args.dir, role + ".state")
-        result = os.path.join(args.dir, role + ".result")
-        if os.path.exists(state) and os.path.exists(result):
-            remove(state)
     print("removed {} file(s), reclaimed {} bytes".format(
         len(removed), reclaimed))
     for name in removed:

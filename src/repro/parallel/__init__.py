@@ -5,8 +5,9 @@ shard's campaign in a worker process, and merges the results into a
 single dataset that is byte-identical for any worker count.
 Every run dispatches through a pool: a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool` of worker processes
-(config/plan shipped once via shared memory, each shard's result
-returned as one wirepack blob — see :mod:`repro.parallel.wirepack`), or the
+(config/plan pickled once per campaign and carried with each task,
+each shard's result returned as one wirepack blob — see
+:mod:`repro.parallel.wirepack`), or the
 zero-process :class:`~repro.parallel.pool.InlinePool` for one worker
 and for campaigns below the break-even size.  Each worker builds its
 world once and restores it per task.  See ``docs/performance.md`` for
@@ -15,7 +16,6 @@ the architecture and the seed-derivation rules.
 
 from repro.parallel.executor import (
     ShardExecutionError,
-    break_even_shard_nodes,
     default_worker_count,
     run_parallel_campaign,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "ShardTask",
     "WarmWorkerPool",
     "WarmWorld",
-    "break_even_shard_nodes",
     "default_worker_count",
     "make_shards",
     "pack_shard_result",

@@ -23,8 +23,8 @@ Every run dispatches the same shard and Atlas tasks through a pool
 :class:`~repro.parallel.pool.InlinePool`, which runs them in this
 process; more workers use a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool`: worker processes are
-spawned once, receive the pickled ``(config, WorldPlan)`` pair once
-through shared memory (:meth:`WarmWorkerPool.prime`), and ship
+spawned once, get the ``(config, WorldPlan)`` pair pickled once per
+campaign (:meth:`WarmWorkerPool.prime`) with every task, and ship
 samples back as one packed binary blob per shard
 (:mod:`repro.parallel.wirepack`).  Either way each worker builds its
 world once and restores a pristine snapshot per task.  A worker
@@ -36,10 +36,10 @@ never fails anonymously.  Retries are safe because shard execution is
 a pure function of ``(config, spec)``.
 
 Small campaigns fall back to the inline pool automatically: below
-:func:`break_even_shard_nodes` nodes per shard (measured break-even —
-process spawn + prime + per-worker world build costs more than it
-saves) no process is spawned unless the caller forces it or supplies
-an already-warm pool.
+:data:`BREAK_EVEN_NODES_PER_SHARD` nodes per shard (measured
+break-even: process spawn, prime and one world build per worker cost
+more than they save) no process is spawned unless the caller supplies
+a pool.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from repro.parallel.worker import (
 
 __all__ = [
     "ShardExecutionError",
-    "break_even_shard_nodes",
     "default_worker_count",
     "merge_shard_results",
     "run_parallel_campaign",
@@ -112,23 +111,9 @@ class ShardExecutionError(RuntimeError):
 
 
 #: Below this many exit nodes per shard, pool overhead (process spawn,
-#: prime transport, one world build per worker) exceeds the measurement
-#: work it parallelises; campaigns under the line run inline instead.
-#: Measured on the benchmark harness; override with the
-#: ``REPRO_PARALLEL_BREAK_EVEN`` environment variable (0 disables the
-#: fallback entirely).
-DEFAULT_BREAK_EVEN_SHARD_NODES = 32
-
-
-def break_even_shard_nodes() -> int:
-    """The configured break-even threshold (nodes per shard)."""
-    raw = os.environ.get("REPRO_PARALLEL_BREAK_EVEN")
-    if raw is None:
-        return DEFAULT_BREAK_EVEN_SHARD_NODES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_BREAK_EVEN_SHARD_NODES
+#: prime, one world build per worker) exceeds the measurement work it
+#: parallelises; campaigns under the line run inline instead.
+BREAK_EVEN_NODES_PER_SHARD = 32
 
 
 def run_parallel_campaign(
@@ -148,8 +133,6 @@ def run_parallel_campaign(
     client_seed_offset: int = 0,
     name_prefix: str = "",
     pool: Optional[Union[WarmWorkerPool, InlinePool]] = None,
-    force_pool: bool = False,
-    break_even_nodes: Optional[int] = None,
     plan: Optional[WorldPlan] = None,
 ) -> CampaignResult:
     """Run the full campaign across *workers* processes.
@@ -190,15 +173,14 @@ def run_parallel_campaign(
     *pool*, if given, is an already-running pool this campaign
     dispatches through (and leaves running — the caller owns its
     lifetime; the service supervisor reuses one pool, and so one warm
-    world per worker, across epochs this way).  Without one, the run
-    creates a temporary pool — inline when the predicted per-shard
-    workload is below :func:`break_even_shard_nodes` (*break_even_nodes*
-    overrides the threshold), so small campaigns never pay process
-    overhead.  *force_pool* disables that fallback (the parity and
-    benchmark suites need the process pool exercised at any scale).
-    *plan* is the config's :class:`WorldPlan` when the caller already
-    derived it.  None of these affect the dataset: every pool is
-    byte-identical by construction.
+    world per worker, across epochs this way; tests and benchmarks
+    that need worker processes at any size pass one too).  Without
+    one, the run creates a temporary pool, inline when the fleet has
+    fewer than :data:`BREAK_EVEN_NODES_PER_SHARD` nodes per shard, so
+    small campaigns never pay process overhead.  *plan* is the config's
+    :class:`WorldPlan` when the caller already derived it.  None of
+    these affect the dataset: every pool is byte-identical by
+    construction.
     """
     if workers is None:
         workers = default_worker_count()
@@ -214,26 +196,20 @@ def run_parallel_campaign(
     if plan is None:
         plan = WorldPlan.for_config(config)
 
-    # Break-even fallback: predict the per-shard workload from the
-    # plan (exact — the fitted counts are what the world will build)
-    # and skip the process pool when it cannot pay for itself.  An
-    # explicit pool means the caller already chose.  A worker_crash
-    # drill is never downgraded: its os._exit needs a worker process
-    # to land in, not this one.
+    # Break-even fallback: the plan's fitted counts are exactly the
+    # fleet the world will build.  An explicit pool means the caller
+    # already chose.  A worker_crash drill is never downgraded: its
+    # os._exit needs a worker process to land in, not this one.
+    fleet = plan.fleet_size()
+    if max_nodes is not None:
+        fleet = min(fleet, max_nodes)
     crash_drill = (
         config.faults is not None
         and config.faults.worker_crash is not None
     )
-    if workers > 1 and pool is None and not force_pool and not crash_drill:
-        threshold = (
-            break_even_shard_nodes()
-            if break_even_nodes is None else max(0, break_even_nodes)
-        )
-        fleet = plan.fleet_size()
-        if max_nodes is not None:
-            fleet = min(fleet, max_nodes)
-        if threshold > 0 and fleet < threshold * num_shards:
-            workers = 1
+    if (pool is None and not crash_drill
+            and fleet < BREAK_EVEN_NODES_PER_SHARD * num_shards):
+        workers = 1
 
     checkpoint: Optional[CampaignCheckpoint] = None
     fingerprint = ""

@@ -7,11 +7,10 @@ functions in the caller's process.  Both hold one
 :class:`~repro.parallel.worker.WarmWorld` per worker and share one
 protocol:
 
-* **Prime once, run many.**  :meth:`prime` installs the ``(config,
-  WorldPlan)`` pair once per campaign.  The process pool pickles it a
-  single time into a :mod:`multiprocessing.shared_memory` segment
-  (inline bytes as fallback) that every worker reads; tasks then cross
-  the queue as slim per-unit fields only.
+* **Prime once, run many.**  :meth:`prime` pickles the ``(config,
+  WorldPlan)`` pair once per campaign; every task message carries those
+  few kilobytes, and a worker unpickles them only when they differ from
+  the pair it last applied.
 * **Build once, restore per task.**  A worker builds its world on first
   use and restores a pristine snapshot for every later task, ~100×
   cheaper than a rebuild.  The world survives re-primes: a config that
@@ -71,56 +70,6 @@ class PoolError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _attach_shm_untracked(name: str):
-    """Attach to an existing shared-memory segment without registering
-    it with this process's resource tracker.
-
-    The parent owns the segment's lifetime.  On Python < 3.13 an
-    attach-side ``SharedMemory(name=...)`` still registers the name
-    with the (pool-wide, shared) tracker, and with several workers
-    attaching/unregistering the same name the tracker's bookkeeping
-    set underflows and logs ``KeyError`` noise at exit — so suppress
-    the registration instead of undoing it.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        # Python 3.13+: first-class opt-out.
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    original = resource_tracker.register
-
-    def _skip_shared_memory(res_name, rtype):
-        if rtype != "shared_memory":
-            original(res_name, rtype)
-
-    resource_tracker.register = _skip_shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _read_prime(transport: str, payload):
-    """The ``(config, plan)`` pair a prime message ships, or None when
-    its shared-memory segment is already gone."""
-    if transport == "shm":
-        name, size = payload
-        try:
-            segment = _attach_shm_untracked(name)
-        except FileNotFoundError:
-            # A stale prime: the parent already replaced this segment
-            # with a newer generation (queued right behind this
-            # message).
-            return None
-        try:
-            payload = bytes(segment.buf[:size])
-        finally:
-            segment.close()
-    return pickle.loads(payload)
-
-
 def _run_item(fn: Callable, arg, warm: WarmWorld):
     """Run one item on *warm*.  Only an item that checked the world out
     and returned cleanly releases it: one that raised or died leaves it
@@ -134,14 +83,16 @@ def _run_item(fn: Callable, arg, warm: WarmWorld):
 
 
 def _worker_main(uid: int, task_q, result_q, parent_pid: int) -> None:
-    """Worker process loop: apply primes, run tasks, report results.
+    """Worker process loop: run tasks, report results.
 
-    The process's :class:`WarmWorld` outlives every prime: a new
-    ``(config, plan)`` changes what the next checkout serves, and the
-    checkout alone decides whether the built world can serve it.
+    Each task carries the pickled ``(config, plan)`` pair of the prime
+    it was dispatched under.  The process's :class:`WarmWorld` is
+    re-primed only when those bytes differ from the last pair applied,
+    and it outlives every prime: the checkout alone decides whether the
+    built world can serve the new pair.
     """
     warm = WarmWorld()
-    generation = None
+    applied = None
     while True:
         try:
             message = task_q.get(timeout=_IDLE_POLL_S)
@@ -151,30 +102,21 @@ def _worker_main(uid: int, task_q, result_q, parent_pid: int) -> None:
             if os.getppid() != parent_pid:
                 return
             continue
-        kind = message[0]
-        if kind == "stop":
+        if message is None:
             return
-        if kind == "prime":
-            _, new_generation, transport, payload = message
-            if new_generation != generation:
-                try:
-                    primed = _read_prime(transport, payload)
-                except Exception:
-                    primed = None
-                # Unprimed until a readable prime arrives.
-                generation = new_generation if primed else None
-                warm.prime(*(primed or (None, None)))
-            continue
-        _, index, fn, arg = message
+        serial, primed, fn, arg = message
         try:
+            if primed != applied:
+                warm.prime(*pickle.loads(primed))
+                applied = primed
             payload = _run_item(fn, arg, warm)
         except Exception as exc:
             result_q.put(
-                (uid, index, "err",
+                (uid, serial, "err",
                  "{}: {}".format(type(exc).__name__, exc))
             )
         else:
-            result_q.put((uid, index, "ok", payload))
+            result_q.put((uid, serial, "ok", payload))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +169,8 @@ class WarmWorkerPool:
         #: or superseded workers — possibly from an earlier
         #: :meth:`run_items` call — can never be mistaken for live ones.
         self._task_serial = 0
-        self._generation = 0
-        self._prime_message: Optional[tuple] = None
-        self._shm = None
+        #: The pickled ``(config, plan)`` pair every task carries.
+        self._primed: Optional[bytes] = None
         self._closed = False
         for _ in range(workers):
             self._handles.append(self._spawn_worker())
@@ -246,10 +187,7 @@ class WarmWorkerPool:
             daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(uid, process, task_q)
-        if self._prime_message is not None:
-            task_q.put(self._prime_message)
-        return handle
+        return _WorkerHandle(uid, process, task_q)
 
     def _stop_process(self, process) -> None:
         """terminate → grace → kill: never trust SIGTERM alone.
@@ -273,7 +211,7 @@ class WarmWorkerPool:
             process.join(self.grace_s)
 
     def _respawn(self, slot: int) -> _WorkerHandle:
-        """Replace the worker in *slot* with a fresh primed process."""
+        """Replace the worker in *slot* with a fresh process."""
         old = self._handles[slot]
         self._stop_process(old.process)
         try:
@@ -288,50 +226,23 @@ class WarmWorkerPool:
     # -- priming ------------------------------------------------------------
 
     def prime(self, config, plan) -> None:
-        """Ship ``(config, plan)`` to every worker, once.
+        """Serve ``(config, plan)`` from the next task on.
 
-        The pair is pickled a single time and published through a
-        shared-memory segment all workers read — O(1) transport no
-        matter how many shards or workers — with inline queue bytes as
-        the fallback when shared memory is unavailable.
+        The pair is pickled once, here; every task message carries the
+        bytes, and a worker unpickles them only when they differ from
+        the pair it last applied.
         """
         if self._closed:
             raise PoolError("pool is closed")
-        blob = pickle.dumps((config, plan), protocol=pickle.HIGHEST_PROTOCOL)
-        self._generation += 1
-        self._release_shm()
-        transport = "inline"
-        payload: object = blob
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True, size=len(blob))
-            segment.buf[: len(blob)] = blob
-            self._shm = segment
-            transport = "shm"
-            payload = (segment.name, len(blob))
-        except Exception:
-            self._shm = None
-        self._prime_message = ("prime", self._generation, transport, payload)
+        self._primed = pickle.dumps(
+            (config, plan), protocol=pickle.HIGHEST_PROTOCOL
+        )
         # A worker still busy at prime time is running a task from an
         # abandoned dispatch (e.g. an epoch cut short by a deadline
         # signal); recycle it rather than queueing behind a zombie.
-        # _spawn_worker delivers the new prime to replacements, and
-        # re-delivering the same generation below is a no-op.
         for slot, handle in enumerate(self._handles):
             if handle.busy_serial is not None:
                 self._respawn(slot)
-        for handle in self._handles:
-            handle.task_q.put(self._prime_message)
-
-    def _release_shm(self) -> None:
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:
-                pass
-            self._shm = None
 
     # -- dispatch -----------------------------------------------------------
 
@@ -365,6 +276,17 @@ class WarmWorkerPool:
         #: item index -> the serial currently authorised to resolve it.
         active: dict = {}
 
+        def live(serial) -> Optional[int]:
+            """The item *serial* was dispatched for, or None when a
+            result or a newer dispatch already superseded it: exactly
+            one in-flight serial may resolve an item, so a retry can
+            never race a zombie writer (a worker we killed that managed
+            to answer first, or one from a previous call)."""
+            index = serial_map.get(serial)
+            if index is None or active.get(index) != serial:
+                return None
+            return None if index in results else index
+
         def fail(index: int, cause: str) -> None:
             attempts[index] += 1
             if attempts[index] > max_retries:
@@ -384,7 +306,7 @@ class WarmWorkerPool:
                 serial_map[serial] = index
                 active[index] = serial
                 fn, arg, _label = items[index]
-                handle.task_q.put(("task", serial, fn, arg))
+                handle.task_q.put((serial, self._primed, fn, arg))
                 handle.busy_serial = serial
                 handle.deadline = (
                     time.perf_counter() + timeout_s
@@ -408,38 +330,23 @@ class WarmWorkerPool:
                         handle.busy_serial = None
                         handle.deadline = None
                         break
-                index = serial_map.get(serial)
-                # Results from superseded serials (a worker we killed
-                # that managed to answer first) or from a previous
-                # run_items call are dropped: exactly one in-flight
-                # serial may resolve an item, so a retry can never race
-                # a zombie writer.
-                if (
-                    index is not None
-                    and active.get(index) == serial
-                    and index not in results
-                ):
-                    if status == "ok":
-                        results[index] = payload
-                        if tick is not None:
-                            tick()
-                    else:
-                        fail(index, payload)
+                index = live(serial)
+                if index is not None and status == "ok":
+                    results[index] = payload
+                    if tick is not None:
+                        tick()
+                elif index is not None:
+                    fail(index, payload)
                 continue
 
             # Liveness: a dead worker forfeits its task.
             for slot, handle in enumerate(self._handles):
                 if handle.process.is_alive():
                     continue
-                serial = handle.busy_serial
+                index = live(handle.busy_serial)
                 exitcode = handle.process.exitcode
                 self._respawn(slot)
-                index = serial_map.get(serial)
-                if (
-                    index is not None
-                    and active.get(index) == serial
-                    and index not in results
-                ):
+                if index is not None:
                     fail(
                         index,
                         "worker process died (exitcode {})".format(exitcode),
@@ -449,18 +356,11 @@ class WarmWorkerPool:
             if timeout_s is not None:
                 now = time.perf_counter()
                 for slot, handle in enumerate(self._handles):
-                    serial = handle.busy_serial
-                    if serial is None or handle.deadline is None:
+                    if handle.deadline is None or now < handle.deadline:
                         continue
-                    if now < handle.deadline:
-                        continue
+                    index = live(handle.busy_serial)
                     self._respawn(slot)
-                    index = serial_map.get(serial)
-                    if (
-                        index is not None
-                        and active.get(index) == serial
-                        and index not in results
-                    ):
+                    if index is not None:
                         fail(
                             index,
                             "no result within {:.0f}s watchdog "
@@ -478,7 +378,7 @@ class WarmWorkerPool:
         self._closed = True
         for handle in self._handles:
             try:
-                handle.task_q.put(("stop",))
+                handle.task_q.put(None)
             except Exception:
                 pass
         deadline = time.monotonic() + self.grace_s
@@ -497,7 +397,6 @@ class WarmWorkerPool:
             self._result_q.cancel_join_thread()
         except Exception:
             pass
-        self._release_shm()
         self._handles = []
 
     def __enter__(self) -> "WarmWorkerPool":

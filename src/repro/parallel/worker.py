@@ -7,16 +7,11 @@ process for the inline pool) holds one :class:`WarmWorld`: the world
 of the ``(ReproConfig, WorldPlan)`` pair the pool primed, built once
 and restored to its pristine post-boot state for every task.  A task
 carries only its per-unit fields, runs its slice of the campaign, and
-ships its result back as one wirepack blob — the same bytes a
-checkpointed task keeps as its sealed ``<role>.result``:
-
-* raw :class:`DohRaw`/:class:`Do53Raw` records (post Maxmind
-  validation, with discard counts),
-* the authoritative server's query log reduced to ``(qname,
-  resolver_ip)`` pairs for the PoP join,
-* the measured nodes' identity rows for client registration,
-* shard 0 only: a snapshot of the geolocation database so the parent
-  can rebuild an identical service without building a world itself.
+ships its result back as one wirepack blob (see :func:`measure_shard`
+for what it holds) — the same bytes a checkpointed task keeps as its
+sealed ``<role>.result``.  Shard 0's result also holds a snapshot of
+the geolocation database, so the parent can rebuild an identical
+service without building a world itself.
 
 Everything here must stay importable at module top level — the
 ``spawn`` start method pickles functions by qualified name.
@@ -28,7 +23,7 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ckpt.checkpoint import (
     MeasureCheckpoint,
@@ -50,12 +45,14 @@ from repro.parallel.wirepack import (
     pack_shard_result,
     unpack_shard_result,
 )
+from repro.proxy.exitnode import ExitNode
 
 __all__ = [
     "AtlasTask",
     "ShardResult",
     "ShardTask",
     "WarmWorld",
+    "measure_shard",
     "run_atlas_task",
     "run_measurement_shard",
 ]
@@ -95,9 +92,8 @@ class WarmWorld:
         #: a task to tell whether that task took the world.
         self.checkouts = 0
 
-    def prime(self, config: Optional[ReproConfig],
-              plan: Optional[WorldPlan]) -> None:
-        """Serve *config* from the next checkout on (None: unprimed).
+    def prime(self, config: ReproConfig, plan: WorldPlan) -> None:
+        """Serve *config* from the next checkout on.
 
         The built world is kept; the next checkout decides whether it
         can serve the new config.
@@ -219,6 +215,65 @@ class ShardResult:
     measured_batches: int = 0
 
 
+def measure_shard(
+    campaign: Campaign,
+    nodes: Sequence[ExitNode],
+    shard_index: int,
+    checkpoint: Optional[MeasureCheckpoint] = None,
+    progress=None,
+) -> ShardResult:
+    """Measure *nodes* with *campaign* and return the outcome as a
+    :class:`ShardResult`: Maxmind-validated records with discard
+    counts, the auth server's query log reduced to ``(qname,
+    resolver_ip)`` pairs for the PoP join, the measured nodes' client
+    rows, the geolocation snapshot (shard 0 only) and batch counters.
+
+    *checkpoint*, if given, journals the batches and is closed here.
+    The shard worker and ``ckpt extend``'s delta both build their
+    result this way.
+    """
+    try:
+        raw_doh, raw_do53 = campaign.measure(
+            nodes, progress, checkpoint=checkpoint
+        )
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
+    world = campaign.world
+    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
+    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
+
+    qname_map: Dict[str, str] = {}
+    for entry in world.auth_server.query_log:
+        qname_map.setdefault(str(entry.qname), entry.src_ip)
+
+    measured_ids = {raw.node_id for raw in kept_doh if raw.node_id}
+    measured_ids.update(raw.node_id for raw in kept_do53 if raw.node_id)
+
+    batch_size = max(1, world.config.batch_size)
+    num_batches = (len(nodes) + batch_size - 1) // batch_size
+    resumed = checkpoint.resumed_batches if checkpoint is not None else 0
+    return ShardResult(
+        shard_index=shard_index,
+        kept_doh=kept_doh,
+        kept_do53=kept_do53,
+        dropped_doh=len(dropped_doh),
+        dropped_do53=len(dropped_do53),
+        qname_map=sorted(qname_map.items()),
+        client_entries=[
+            (node.node_id, node.ip, node.claimed_country)
+            for node in nodes
+            if node.node_id in measured_ids
+        ],
+        geo_snapshot=(
+            world.geolocation.snapshot() if shard_index == 0 else None
+        ),
+        failures=list(campaign.failures),
+        resumed_batches=resumed,
+        measured_batches=num_batches - resumed,
+    )
+
+
 def run_measurement_shard(task: ShardTask, warm: WarmWorld) -> bytes:
     """Measure this shard's slice of the fleet on *warm*'s world.
 
@@ -258,38 +313,15 @@ def run_measurement_shard(task: ShardTask, warm: WarmWorld) -> bytes:
         shard_index=spec.shard_index,
         run_index_offset=task.run_index_offset,
     )
-    nodes = shard_items(world.nodes(), spec)
-    try:
-        raw_doh, raw_do53 = campaign.measure(nodes, checkpoint=checkpoint)
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-
-    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
-    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-
-    qname_map: Dict[str, str] = {}
-    for entry in world.auth_server.query_log:
-        qname_map.setdefault(str(entry.qname), entry.src_ip)
-
-    measured_ids = set()
-    for raw in kept_doh:
-        if raw.node_id:
-            measured_ids.add(raw.node_id)
-    for raw in kept_do53:
-        if raw.node_id:
-            measured_ids.add(raw.node_id)
-    client_entries = [
-        (node.node_id, node.ip, node.claimed_country)
-        for node in nodes
-        if node.node_id in measured_ids
-    ]
-
-    metrics_snapshot = None
-    trace_snapshot = None
+    result = measure_shard(
+        campaign, shard_items(world.nodes(), spec), spec.shard_index,
+        checkpoint,
+    )
     if obs is not None:
-        obs.metrics.set_counter("campaign.discarded_doh", len(dropped_doh))
-        obs.metrics.set_counter("campaign.discarded_do53", len(dropped_do53))
+        obs.metrics.set_counter("campaign.discarded_doh", result.dropped_doh)
+        obs.metrics.set_counter(
+            "campaign.discarded_do53", result.dropped_do53
+        )
         # Wall clock is inherently nondeterministic: a gauge under a
         # shard-unique name, never a counter, so determinism tests can
         # compare counters/histograms and ignore gauges wholesale.
@@ -297,29 +329,8 @@ def run_measurement_shard(task: ShardTask, warm: WarmWorld) -> bytes:
             "shard.{}.wall_s".format(spec.shard_index),
             time.perf_counter() - wall_start,
         )
-        metrics_snapshot = obs.metrics.snapshot()
-        trace_snapshot = obs.trace.snapshot()
-
-    batch_size = max(1, config.batch_size)
-    num_batches = (len(nodes) + batch_size - 1) // batch_size
-    resumed = checkpoint.resumed_batches if checkpoint is not None else 0
-    result = ShardResult(
-        shard_index=spec.shard_index,
-        kept_doh=kept_doh,
-        kept_do53=kept_do53,
-        dropped_doh=len(dropped_doh),
-        dropped_do53=len(dropped_do53),
-        qname_map=sorted(qname_map.items()),
-        client_entries=client_entries,
-        geo_snapshot=(
-            world.geolocation.snapshot() if spec.shard_index == 0 else None
-        ),
-        failures=list(campaign.failures),
-        metrics=metrics_snapshot,
-        traces=trace_snapshot,
-        resumed_batches=resumed,
-        measured_batches=num_batches - resumed,
-    )
+        result.metrics = obs.metrics.snapshot()
+        result.traces = obs.trace.snapshot()
     blob = pack_shard_result(result)
     if result_path is not None:
         store_unit_result(result_path, task.fingerprint, blob)

@@ -98,16 +98,27 @@ class ServiceError(Exception):
     """Base class for supervisor failures."""
 
 
-class GracefulShutdown(Exception):
-    """Raised in the main thread when SIGTERM/SIGINT arrives."""
+class GracefulShutdown(BaseException):
+    """Raised in the main thread when SIGTERM/SIGINT arrives.
+
+    A :class:`BaseException`, like :class:`KeyboardInterrupt`: the
+    signal can land inside simulated code, whose ``except Exception``
+    handlers would otherwise turn it into a failed sample or a retried
+    node and lose the shutdown.
+    """
 
     def __init__(self, signum: int) -> None:
         super().__init__("received signal {}".format(signum))
         self.signum = signum
 
 
-class EpochDeadlineExceeded(ServiceError):
-    """The per-epoch watchdog (SIGALRM) fired."""
+class EpochDeadlineExceeded(BaseException):
+    """The per-epoch watchdog (SIGALRM) fired.
+
+    A :class:`BaseException` for the same reason as
+    :class:`GracefulShutdown`; the epoch loop catches it by name to
+    retry the epoch.
+    """
 
 
 class EpochFailedError(ServiceError):
@@ -500,9 +511,9 @@ class ServiceSupervisor:
                     epoch_dataset = self._run_epoch_campaign(
                         epoch, directory
                     )
-            except (GracefulShutdown, QuarantinedCheckpointError):
+            except QuarantinedCheckpointError:
                 raise
-            except Exception as exc:
+            except (Exception, EpochDeadlineExceeded) as exc:
                 self.metrics.inc("service.epoch_retries")
                 journal.append(
                     "epoch-retry",

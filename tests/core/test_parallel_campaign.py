@@ -34,6 +34,7 @@ from repro.parallel import (
     unpack_shard_result,
 )
 from repro.proxy.population import PopulationConfig
+from repro.service import EpochDeadlineExceeded
 
 PARITY_KWARGS = dict(
     num_shards=4,
@@ -93,13 +94,14 @@ class TestWorkerParity:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pooled_workers_identical_dataset(self, serial_result, workers):
-        # force_pool: this fleet is below the break-even line, and the
-        # whole point is exercising the warm-pool path, not the inline
-        # fallback.
-        parallel_result = run_parallel_campaign(
-            _small_config(), workers=workers, force_pool=True,
-            **PARITY_KWARGS
-        )
+        # An explicit pool: this fleet is below the break-even line, and
+        # the whole point is exercising the warm-pool path, not the
+        # inline fallback.
+        with WarmWorkerPool(workers) as pool:
+            parallel_result = run_parallel_campaign(
+                _small_config(), workers=workers, pool=pool,
+                **PARITY_KWARGS
+            )
         assert (
             parallel_result.dataset.to_json()
             == serial_result.dataset.to_json()
@@ -171,10 +173,11 @@ class TestFaultedParity:
             self._faulted_config(), workers=1, observe=True,
             **self.FAULTED_KWARGS
         )
-        parallel = run_parallel_campaign(
-            self._faulted_config(), workers=workers, observe=True,
-            force_pool=True, **self.FAULTED_KWARGS
-        )
+        with WarmWorkerPool(workers) as pool:
+            parallel = run_parallel_campaign(
+                self._faulted_config(), workers=workers, observe=True,
+                pool=pool, **self.FAULTED_KWARGS
+            )
         assert parallel.dataset.to_json() == serial.dataset.to_json()
         assert parallel.failures == serial.failures
         assert (
@@ -271,6 +274,17 @@ def _raise(_value, _warm):
     raise RuntimeError("task exploded")
 
 
+def _refuse_to_unpickle():
+    raise ValueError("this pair does not unpickle")
+
+
+class _Unpicklable:
+    """Pickles in the parent; unpickling it in a worker raises."""
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
 class TestExecutorResilience:
     """The process pool: dead workers are detected and retried, never
     hung."""
@@ -298,12 +312,40 @@ class TestExecutorResilience:
         with pytest.raises(ShardExecutionError, match="task exploded"):
             _execute_tasks(items, workers=1, max_retries=0)
 
+    def test_prime_that_fails_to_unpickle_fails_its_task(self):
+        with WarmWorkerPool(1) as pool:
+            pool.prime(_Unpicklable(), None)
+            with pytest.raises(ShardExecutionError, match="not unpickle"):
+                pool.run_items([(_double, 1, "t")], max_retries=1)
+            # A pair that unpickles serves the next task.
+            pool.prime("config", "plan")
+            assert pool.run_items([(_double, 1, "t")]) == [2]
+
     def test_hung_worker_trips_watchdog(self):
         items = [(_hang, None, "sleeper")]
         with pytest.raises(ShardExecutionError, match="watchdog"):
             _execute_tasks(
                 items, workers=1, timeout_s=1.0, max_retries=0
             )
+
+    def test_signal_exception_while_waiting_reaches_the_caller(self):
+        # The service's SIGALRM and SIGTERM handlers raise
+        # BaseExceptions in the main thread; one that lands while
+        # run_items waits on its workers must not be swallowed there.
+        def deadline(_signum, _frame):
+            raise EpochDeadlineExceeded("deadline")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        try:
+            with WarmWorkerPool(1) as pool:
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                start = time.monotonic()
+                with pytest.raises(EpochDeadlineExceeded):
+                    pool.run_items([(_hang, None, "sleeper")])
+                assert time.monotonic() - start < 30.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_sigterm_ignoring_worker_cannot_deadlock_shutdown(self):
         # A worker that ignores SIGTERM must still be reaped: the pool

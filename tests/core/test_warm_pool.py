@@ -5,7 +5,8 @@ byte-identity depends on:
 
 * one pool serves many campaigns back-to-back (the service reuses it
   across epochs), re-priming instead of respawning;
-* the break-even fallback keeps small campaigns off the pool entirely;
+* the break-even line (32 nodes per shard) keeps small campaigns off
+  the pool entirely, and larger ones on it;
 * a shard retried after a sibling worker's crash lands on a *reused*
   warm worker and still resumes its torn ledger byte-identically —
   no stale per-process world state leaks into the retry.
@@ -19,7 +20,6 @@ import pytest
 from repro.core.config import ReproConfig
 from repro.faults.plan import FaultPlan, WorkerCrash
 from repro.parallel import WarmWorkerPool, run_parallel_campaign
-from repro.parallel.executor import break_even_shard_nodes
 from repro.proxy.population import PopulationConfig
 
 KWARGS = dict(
@@ -90,29 +90,24 @@ class TestBreakEvenFallback:
         reference = run_parallel_campaign(_config(), workers=1, **KWARGS)
         assert result.dataset.to_json() == reference.dataset.to_json()
 
-    def test_break_even_zero_disables_fallback(self, monkeypatch):
+    def test_campaign_on_the_line_builds_a_pool(self, monkeypatch):
         import repro.parallel.executor as executor
 
         built = []
         real_pool = executor.WarmWorkerPool
 
         def _tracking(*args, **kwargs):
-            built.append(True)
+            built.append(args)
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(executor, "WarmWorkerPool", _tracking)
-        run_parallel_campaign(
-            _config(), workers=2, break_even_nodes=0, **KWARGS
-        )
-        assert built
-
-    def test_env_override_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BREAK_EVEN", "7")
-        assert break_even_shard_nodes() == 7
-        monkeypatch.setenv("REPRO_PARALLEL_BREAK_EVEN", "0")
-        assert break_even_shard_nodes() == 0
-        monkeypatch.setenv("REPRO_PARALLEL_BREAK_EVEN", "not-a-number")
-        assert break_even_shard_nodes() > 0
+        kwargs = dict(num_shards=2, atlas_probes_per_country=0)
+        # 63 nodes over 2 shards is under 32 per shard: inline.
+        run_parallel_campaign(_config(), workers=2, max_nodes=63, **kwargs)
+        assert built == []
+        # 64 nodes is on the line: two worker processes.
+        run_parallel_campaign(_config(), workers=2, max_nodes=64, **kwargs)
+        assert built == [(2,)]
 
     def test_crash_drill_never_downgrades_to_inline(self, monkeypatch):
         # A worker_crash fault os._exit()s the process running the

@@ -1,4 +1,5 @@
-"""Real-signal drills: SIGTERM/SIGINT mid-epoch must be graceful.
+"""Signal drills: SIGTERM/SIGINT and the epoch deadline mid-epoch must
+be graceful.
 
 Each drill starts ``python -m repro service run`` as a real process,
 waits until epoch 1 has committed at least one batch (so the signal
@@ -12,6 +13,11 @@ then asserts the robustness contract:
   boundary, never a torn in-between,
 * ``repro service resume`` completes the service and reproduces the
   uninterrupted baseline bytes.
+
+Real signals land wherever the process happens to be.  The in-process
+cases below raise the signal handlers' exceptions at a fixed point
+inside a node task instead, where simulated code's ``except
+Exception`` handlers sit, so each outcome is deterministic.
 """
 
 import hashlib
@@ -21,9 +27,12 @@ import time
 
 import pytest
 
+from repro.core.client import MeasurementClient
 from repro.service import (
     EXIT_INTERRUPTED,
     EXIT_OK,
+    EpochDeadlineExceeded,
+    GracefulShutdown,
     ServiceSupervisor,
 )
 from repro.service import paths as service_paths
@@ -117,4 +126,55 @@ def test_signal_mid_epoch_is_graceful(tmp_path, service_proc,
     # Self-healing resume: picks up at the journalled epoch boundary
     # and reproduces the uninterrupted baseline byte-for-byte.
     assert ServiceSupervisor(config).run(fresh=False) == EXIT_OK
+    assert canonical_digest(config.directory) == baseline_digest
+
+
+def raise_in_epoch_1(monkeypatch, exc, at_call: int = 50) -> None:
+    """Make epoch 1's *at_call*-th DoH measurement raise *exc*, once.
+
+    The tiny service measures 2 providers per node in batches of 10
+    nodes, so call 50 falls in shard 0's third batch, after two
+    committed batches.
+    """
+    original = MeasurementClient.measure_doh
+    calls = []
+
+    def measure_doh(self, *args, **kwargs):
+        if kwargs.get("run_index") == 1:
+            calls.append(None)
+            if len(calls) == at_call:
+                raise exc
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MeasurementClient, "measure_doh", measure_doh)
+
+
+def test_shutdown_inside_a_node_task_stops_the_service(
+    tmp_path, monkeypatch, baseline_digest
+):
+    config = tiny_config(tmp_path / "svc")
+    raise_in_epoch_1(monkeypatch, GracefulShutdown(signal.SIGTERM))
+    assert ServiceSupervisor(config).run(fresh=True) == EXIT_INTERRUPTED
+    shutdowns = open_journal(config).events("shutdown")
+    assert [record["signal"] for record in shutdowns] == [
+        int(signal.SIGTERM)
+    ]
+    assert shutdowns[0]["epoch_in_flight"] == 1
+
+    monkeypatch.undo()
+    assert ServiceSupervisor(config).run(fresh=False) == EXIT_OK
+    assert canonical_digest(config.directory) == baseline_digest
+
+
+def test_deadline_inside_a_node_task_retries_the_epoch(
+    tmp_path, monkeypatch, baseline_digest
+):
+    config = tiny_config(tmp_path / "svc", retry_backoff_s=0.0)
+    raise_in_epoch_1(
+        monkeypatch, EpochDeadlineExceeded("epoch exceeded its deadline")
+    )
+    assert ServiceSupervisor(config).run(fresh=True) == EXIT_OK
+    retries = open_journal(config).events("epoch-retry")
+    assert [(r["epoch"], r["attempt"]) for r in retries] == [(1, 0)]
+    assert "EpochDeadlineExceeded" in retries[0]["error"]
     assert canonical_digest(config.directory) == baseline_digest

@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from repro.ckpt import CampaignCheckpoint
+from repro.cli import main
 from repro.faults.epochs import epoch_fault_plan
 from repro.service import (
     EXIT_EPOCH_FAILED,
@@ -113,6 +115,19 @@ class TestLifecycle:
             assert entries[0]["service_fingerprint"] == (
                 finished.fingerprint()
             )
+
+    def test_ckpt_status_prints_service_lineage(self, finished, capsys):
+        epoch1 = service_paths.epoch_dir(finished.directory, 1)
+        assert main(["ckpt", "status", epoch1]) == 0
+        out = capsys.readouterr().out
+        assert "None" not in out
+        previous = read_journal(finished).epochs_done()
+        assert "service epoch 1: previous={} digest={}".format(
+            CampaignCheckpoint.load(
+                service_paths.epoch_dir(finished.directory, 0)
+            ).fingerprint,
+            previous[1]["dataset_digest"],
+        ) in out
 
 
 class TestDeterminismContract:
