@@ -3,26 +3,29 @@
 The paper's dataset took weeks of paid measurements; a crash must not
 discard completed work.  This package provides:
 
-* :mod:`repro.ckpt.ledger` — an append-only, checksummed sample
-  journal (one file per shard) with fsync'd record batches and
-  truncated-tail recovery,
+* :mod:`repro.ckpt.checkpoint` — the :class:`CampaignCheckpoint`
+  directory layout and manifest, sealed (checksummed) blobs, and
+  :class:`MeasureCheckpoint`: each unit of batched work is one sealed
+  file at any moment, its ``.state`` (every committed batch's samples
+  plus the world state after the last) replaced atomically per batch
+  until its ``.result`` supersedes it,
 * :mod:`repro.ckpt.worldstate` — snapshot/restore of every piece of
   mutable simulation state, the mechanism behind the byte-identity
   guarantee (resumed runs equal uninterrupted runs, bit for bit),
 * :mod:`repro.ckpt.fingerprint` — a campaign fingerprint hashing the
-  config, world plan, fault plan, and client seeds, so a ledger can
-  never silently be resumed against different code-relevant inputs,
-* :mod:`repro.ckpt.checkpoint` — the :class:`CampaignCheckpoint`
-  directory layout, manifest, sealed (checksummed) blobs, and resume
-  bookkeeping,
+  config, world plan, fault plan, and client seeds, so a checkpoint
+  can never silently be resumed against different code-relevant
+  inputs,
 * :mod:`repro.ckpt.extend` — incremental campaigns: grow a finished
   checkpoint with new providers, more runs, or more nodes, computing
   only the delta and merging deterministically,
 * :mod:`repro.ckpt.quarantine` — checkpoint health classification
-  (clean / stale / torn / corrupt, with distinct ``ckpt verify`` exit
-  codes) and the quarantine move used by the longitudinal service:
-  damaged checkpoints are set aside with their bytes intact, never
-  overwritten.
+  (clean / stale, the ``ckpt verify`` exit codes) and the quarantine
+  move used by the longitudinal service: damaged checkpoints are set
+  aside with their bytes intact, never overwritten,
+* :mod:`repro.ckpt.ledger` — the append-only, checksummed, fsync'd
+  record format of the service's crash journal
+  (:mod:`repro.service.journal`).
 
 See docs/checkpointing.md for the format and guarantees.
 """
@@ -39,9 +42,7 @@ from repro.ckpt.fingerprint import campaign_fingerprint
 from repro.ckpt.ledger import LedgerReader, LedgerWriter
 from repro.ckpt.quarantine import (
     VERIFY_CLEAN,
-    VERIFY_CORRUPT,
     VERIFY_STALE,
-    VERIFY_TORN,
     CheckpointHealth,
     latest_quarantine_entry,
     quarantine_checkpoint,
@@ -59,9 +60,7 @@ __all__ = [
     "LedgerWriter",
     "MeasureCheckpoint",
     "VERIFY_CLEAN",
-    "VERIFY_CORRUPT",
     "VERIFY_STALE",
-    "VERIFY_TORN",
     "campaign_fingerprint",
     "extend_campaign",
     "latest_quarantine_entry",

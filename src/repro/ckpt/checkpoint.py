@@ -6,36 +6,33 @@ Layout of a checkpoint directory::
                               per-run resume counters, lineage
     <dir>/config.pkl          sealed pickle of the exact ReproConfig
                               (for ckpt extend)
-    <dir>/<role>.ledger       sample journal per unit of work
-                              (roles: "serial", "shard-<k>", "delta");
-                              each batch record is one base64 wirepack
-                              blob (:mod:`repro.parallel.wirepack`)
-    <dir>/<role>.state        sealed pickle of the world+campaign
-                              mutable state at the last committed
-                              batch (removed once the unit's
-                              ``.result`` is stored)
+    <dir>/<role>.state        sealed pickle of an unfinished unit
+                              (roles: "shard-<k>", "delta"): every
+                              committed batch's samples, one wirepack
+                              blob each (:mod:`repro.parallel.wirepack`),
+                              and the world+campaign mutable state
+                              after the last of them
     <dir>/<role>.result       sealed wirepack result of a finished
-                              shard, Atlas or extension delta
+                              shard, Atlas or extension delta; it
+                              replaces the unit's ``.state``
     <dir>/ext-<n>/            nested checkpoint of extension n
 
 Every blob file is *sealed* (:func:`seal`): a magic number and a
 BLAKE2b checksum over the format version, the campaign fingerprint,
 the file name and the payload.  A blob is decoded only after its seal
 verifies; one that fails is treated as absent, so its unit is measured
-again, which is always byte-safe.
+again from batch 0, which is always byte-safe.
 
-Commit protocol per batch: append the batch's raw samples to the
-ledger (fsync), then atomically replace the state blob.  A crash
-between the two leaves the ledger one batch ahead of the state; resume
-reconciles by truncating the ledger back to the state's watermark — at
-most one batch is re-measured, and re-measuring is always byte-safe
-because the restored state replays the exact RNG draw sequence of an
-uninterrupted run (see :mod:`repro.ckpt.worldstate`).
+Commit protocol: each batch atomically replaces the unit's ``.state``
+with one sealed pickle, so a crash leaves either the old file or the
+new one and a unit is one file at any moment.  Resume restores the
+world from it and measures only the remaining batches, producing the
+exact RNG draw sequence of an uninterrupted run (see
+:mod:`repro.ckpt.worldstate`).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -46,12 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.ckpt.fingerprint import FORMAT_VERSION, campaign_fingerprint
-from repro.ckpt.ledger import (
-    CheckpointCorruptionError,
-    LedgerReader,
-    LedgerWriter,
-    read_ledger,
-)
+from repro.ckpt.ledger import CheckpointCorruptionError
 from repro.ckpt.worldstate import (
     _rng_state,
     capture_world_state,
@@ -87,18 +79,18 @@ class CheckpointError(Exception):
 
 
 class CheckpointMismatchError(CheckpointError):
-    """A ledger was written by a different campaign definition.
+    """A checkpoint was written by a different campaign definition.
 
     Raised when the stored fingerprint disagrees with the one computed
     from the config/plan/execution being run.  Resuming would splice
     samples from two different experiments; pass ``resume="force"``
-    (CLI: ``--resume=force``) to discard the old ledger instead.
+    (CLI: ``--resume=force``) to discard the old checkpoint instead.
     """
 
 
 @dataclass
 class ResumeInfo:
-    """What a :class:`MeasureCheckpoint` replayed from its ledger."""
+    """What a :class:`MeasureCheckpoint` replayed from its ``.state``."""
 
     batches_done: int = 0
     doh: List[DohRaw] = field(default_factory=list)
@@ -181,9 +173,8 @@ class CampaignCheckpoint:
                     "different campaign (stored fingerprint {}, this "
                     "campaign {}). The config, world plan, fault plan, "
                     "seeds, and execution shape must all match; pass "
-                    "--resume=force to discard the old ledger.".format(
-                        directory, stored, fingerprint
-                    )
+                    "--resume=force to discard the old checkpoint."
+                    .format(directory, stored, fingerprint)
                 )
             return cls(directory, fingerprint, existing)
 
@@ -250,6 +241,7 @@ class CampaignCheckpoint:
     def _wipe(directory: str) -> None:
         for name in sorted(os.listdir(directory)):
             path = os.path.join(directory, name)
+            # ``.ledger``: the per-unit sample journals of format 2.
             if os.path.isfile(path) and (
                 name == MANIFEST_NAME
                 or name == CONFIG_NAME
@@ -257,29 +249,11 @@ class CampaignCheckpoint:
             ):
                 os.remove(path)
 
-    # -- paths ------------------------------------------------------------
-
-    def manifest_path(self) -> str:
-        """Path of the ``checkpoint.json`` manifest."""
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def ledger_path(self, role: str) -> str:
-        """Path of *role*'s sample ledger (``<role>.ledger``)."""
-        return os.path.join(self.directory, role + ".ledger")
-
-    def state_path(self, role: str) -> str:
-        """Path of *role*'s world-state blob (``<role>.state``)."""
-        return os.path.join(self.directory, role + ".state")
-
-    def result_path(self, role: str) -> str:
-        """Path of *role*'s finished-result blob (``<role>.result``)."""
-        return os.path.join(self.directory, role + ".result")
-
     # -- manifest bookkeeping ---------------------------------------------
 
     def _write_manifest(self) -> None:
         atomic_write_json(
-            self.manifest_path(), self.manifest,
+            os.path.join(self.directory, MANIFEST_NAME), self.manifest,
             indent=2, sort_keys=True, trailing_newline=True,
         )
 
@@ -299,24 +273,6 @@ class CampaignCheckpoint:
         """Append one extension's provenance to the manifest lineage."""
         self.manifest.setdefault("lineage", []).append(dict(entry))
         self._write_manifest()
-
-    # -- unit handles ------------------------------------------------------
-
-    def measure_checkpoint(self, role: str) -> "MeasureCheckpoint":
-        """A journal handle for one unit of measurement (see
-        :class:`MeasureCheckpoint`)."""
-        return MeasureCheckpoint(self.directory, role, self.fingerprint)
-
-    # -- unit results (extension deltas) -----------------------------------
-
-    def store_result(self, role: str, payload: bytes) -> None:
-        """Persist a completed unit's result bytes, sealed (atomic)."""
-        store_unit_result(self.result_path(role), self.fingerprint, payload)
-
-    def load_result(self, role: str) -> Optional[bytes]:
-        """A completed unit's result bytes, or ``None`` if absent or
-        its seal fails."""
-        return load_unit_result(self.result_path(role), self.fingerprint)
 
 
 def seal(payload: bytes, fingerprint: str, name: str) -> bytes:
@@ -389,130 +345,71 @@ def store_unit_result(path: str, fingerprint: str, payload: bytes) -> None:
         pass
 
 
+def load_unit_state(path: str, fingerprint: str) -> Optional[Dict]:
+    """The committed state of an unfinished unit: ``batches`` (one
+    wirepack blob per committed batch), ``world`` and ``campaign``.
+    ``None`` when the ``.state`` at *path* is absent or fails its seal.
+    """
+    payload = load_unit_result(path, fingerprint)
+    return None if payload is None else pickle.loads(payload)
+
+
+def committed_batches(directory: str) -> int:
+    """Batches committed by the unfinished units of the checkpoint at
+    *directory*: what a resume would replay.  0 before its manifest
+    exists."""
+    try:
+        fingerprint = CampaignCheckpoint.load(directory).fingerprint
+    except (CheckpointError, CheckpointCorruptionError):
+        return 0
+    total = 0
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".state"):
+            state = load_unit_state(
+                os.path.join(directory, name), fingerprint
+            )
+            total += 0 if state is None else len(state["batches"])
+    return total
+
+
 class MeasureCheckpoint:
-    """Journal + state blob for one resumable measurement loop.
+    """The sealed ``<role>.state`` file of one resumable measurement
+    loop.
 
     Constructed from plain path components so worker processes can
     build one from a pickled task spec without touching the manifest.
     """
 
     def __init__(self, directory: str, role: str, fingerprint: str) -> None:
-        self.directory = directory
         self.role = role
         self.fingerprint = fingerprint
-        self.ledger_path = os.path.join(directory, role + ".ledger")
         self.state_path = os.path.join(directory, role + ".state")
-        self._writer: Optional[LedgerWriter] = None
-        self._batches_committed = 0
-        self._next_seq = 0
-        self._complete = False
-        #: Batches replayed from the ledger by the last :meth:`prepare`
-        #: (resume bookkeeping, surfaced in the campaign manifest).
+        #: One wirepack blob per committed batch, rewritten whole into
+        #: the ``.state`` at every commit.
+        self._batches: List[bytes] = []
+        #: Batches replayed from the ``.state`` by the last
+        #: :meth:`prepare` (resume bookkeeping, surfaced in the
+        #: campaign manifest).
         self.resumed_batches = 0
 
     # -- resume ------------------------------------------------------------
 
     def prepare(self, campaign) -> ResumeInfo:
-        """Replay the ledger, restore state into *campaign*, and open
-        the journal for appending.  Returns what was replayed."""
-        load = read_ledger(self.ledger_path)
-        info = ResumeInfo()
-        fresh = load is None or not load.records
-        if fresh and load is not None:
-            # A file holding only a torn header: reset it entirely.
-            LedgerReader.truncate_to(self.ledger_path, 0)
-        if not fresh:
-            info = self._reconcile(load, campaign)
-        self._writer = LedgerWriter(
-            self.ledger_path,
-            next_seq=0 if fresh else self._next_seq,
-        )
-        if fresh:
-            self._writer.append(
-                "header",
-                {
-                    "fingerprint": self.fingerprint,
-                    "role": self.role,
-                    "format": FORMAT_VERSION,
-                },
-            )
-        self._batches_committed = info.batches_done
-        self.resumed_batches = info.batches_done
-        return info
-
-    def _reconcile(self, load, campaign) -> ResumeInfo:
-        header = load.header
-        if header is None:
-            raise CheckpointCorruptionError(
-                "{}: journal has no header record".format(self.ledger_path)
-            )
-        payload = header.payload
-        if payload.get("format") != FORMAT_VERSION:
-            raise CheckpointMismatchError(
-                "{}: ledger written in checkpoint format {!r}, this "
-                "version reads format {}".format(
-                    self.ledger_path, payload.get("format"), FORMAT_VERSION
-                )
-            )
-        if payload.get("fingerprint") != self.fingerprint or (
-            payload.get("role") != self.role
-        ):
-            raise CheckpointMismatchError(
-                "{}: journal belongs to a different campaign or unit "
-                "(stored fingerprint {}, expected {})".format(
-                    self.ledger_path,
-                    payload.get("fingerprint"),
-                    self.fingerprint,
-                )
-            )
-
-        batches = [r for r in load.records if r.kind == "batch"]
-        done_marker = any(r.kind == "done" for r in load.records)
-        # The state blob covers its first ``batches_done`` batches.  Keep
-        # that prefix of the journal; batches past it are a torn commit
-        # (the crash hit between ledger append and state write) and get
-        # truncated away.  A state with no blob, a failed seal, or more
-        # batches than the journal holds (its last batch record was
-        # damaged and dropped as a torn tail) cannot be trusted: the
-        # unit starts over from batch 0, which is always byte-safe.
-        state = self._load_state()
-        if state is not None and state["batches_done"] > len(batches):
-            state = None
-        kept = batches[:state["batches_done"]] if state is not None else []
-        complete = (
-            done_marker and state is not None and len(kept) == len(batches)
-        )
-        keep_records = 1 + len(kept) + (1 if complete else 0)
-        truncate_to = load.offsets[keep_records - 1]
-        if truncate_to < load.clean_bytes or load.dropped_tail:
-            LedgerReader.truncate_to(self.ledger_path, truncate_to)
-        self._next_seq = keep_records
-        self._complete = complete
-        if not kept:
-            return ResumeInfo()
-
-        info = ResumeInfo(batches_done=len(kept))
-        for record in kept:
-            try:
-                doh, do53, failures = unpack_samples(
-                    base64.b64decode(record.payload, validate=True)
-                )
-            except (TypeError, ValueError) as exc:
-                raise CheckpointCorruptionError(
-                    "{}: batch record {} does not decode: {}".format(
-                        self.ledger_path, record.seq, exc
-                    )
-                ) from None
+        """Restore *campaign* from the unit's ``.state`` and return the
+        samples of every committed batch; a missing ``.state``, or one
+        that fails its seal, starts the unit at batch 0."""
+        state = load_unit_state(self.state_path, self.fingerprint)
+        self._batches = [] if state is None else state["batches"]
+        self.resumed_batches = len(self._batches)
+        info = ResumeInfo(batches_done=len(self._batches))
+        for blob in self._batches:
+            doh, do53, failures = unpack_samples(blob)
             info.doh.extend(doh)
             info.do53.extend(do53)
             info.failures.extend(failures)
-        self._restore(campaign, state)
+        if state is not None:
+            self._restore(campaign, state)
         return info
-
-    def _load_state(self) -> Optional[Dict]:
-        """The state blob, or ``None`` when absent or its seal fails."""
-        payload = load_unit_result(self.state_path, self.fingerprint)
-        return None if payload is None else pickle.loads(payload)
 
     def _restore(self, campaign, state: Dict) -> None:
         restore_world_state(campaign.world, state["world"])
@@ -527,17 +424,15 @@ class MeasureCheckpoint:
 
     # -- commit ------------------------------------------------------------
 
-    def commit_batch(self, campaign, batch_index: int,
-                     doh: List[DohRaw], do53: List[Do53Raw],
+    def commit_batch(self, campaign, doh: List[DohRaw], do53: List[Do53Raw],
                      failures: List[NodeFailure]) -> None:
-        """Journal one measured batch (fsync'd), then snapshot the
-        world state after it."""
-        blob = pack_samples(doh, do53, failures)
-        self._writer.append("batch", base64.b64encode(blob).decode("ascii"))
-        self._batches_committed = batch_index + 1
+        """Commit the batch just measured: atomically replace the
+        ``.state`` with every committed batch's samples and the world
+        state after this one."""
+        self._batches.append(pack_samples(doh, do53, failures))
         obs = campaign.obs
         state = {
-            "batches_done": self._batches_committed,
+            "batches": self._batches,
             "world": capture_world_state(campaign.world),
             "campaign": {
                 "client_rng": campaign.client.rng.getstate(),
@@ -557,16 +452,3 @@ class MeasureCheckpoint:
                 self.fingerprint, os.path.basename(self.state_path),
             ),
         )
-
-    def finish(self) -> None:
-        """Mark the unit complete (every batch is already committed)."""
-        if self._complete:
-            return  # replayed a finished journal; the marker is there
-        self._writer.append("done", {"batches": self._batches_committed})
-        self._complete = True
-
-    def close(self) -> None:
-        """Release the ledger file handle (safe to call twice)."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None

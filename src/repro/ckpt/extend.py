@@ -33,7 +33,13 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.ckpt.checkpoint import CampaignCheckpoint, CheckpointError
+from repro.ckpt.checkpoint import (
+    CampaignCheckpoint,
+    CheckpointError,
+    MeasureCheckpoint,
+    load_unit_result,
+    store_unit_result,
+)
 from repro.ckpt.fingerprint import campaign_fingerprint
 from repro.core.campaign import Campaign, NodeFailure
 from repro.core.config import ReproConfig
@@ -127,14 +133,16 @@ def plan_extension(
                 scale, base_config.population.scale
             )
         )
-    return ExtensionPlan(
-        kind="nodes",
-        base_config=base_config,
-        config=replace(
-            base_config,
-            population=replace(base_config.population, scale=scale),
-        ),
+    config = replace(
+        base_config, population=replace(base_config.population, scale=scale)
     )
+    # Country floors give neighbouring small scales the same fleet.
+    if fleet_node_ids(config) <= fleet_node_ids(base_config):
+        raise ValueError(
+            "extension scale {} adds no exit node to the base scale {}'s "
+            "fleet".format(scale, base_config.population.scale)
+        )
+    return ExtensionPlan(kind="nodes", base_config=base_config, config=config)
 
 
 @dataclass
@@ -147,7 +155,7 @@ class ExtendResult:
     kind: str
     #: The extended config (base config grown along the delta axis).
     config: Optional[ReproConfig] = None
-    #: Delta batches replayed from the extension's own ledger vs
+    #: Delta batches replayed from the extension's own checkpoint vs
     #: measured live by this invocation (0 measured = pure cache hit).
     batches_replayed: int = 0
     batches_measured: int = 0
@@ -237,10 +245,13 @@ def extend_campaign(
     # Imported here, not at the top: the executor imports repro.ckpt.
     from repro.parallel.executor import merge_shard_results
 
-    cached = ext.load_result("delta")
+    result_path = os.path.join(ext_dir, "delta.result")
+    cached = load_unit_result(result_path, ext.fingerprint)
     if cached is None:
         delta = _measure_delta(plan, ext, progress)
-        ext.store_result("delta", pack_shard_result(delta))
+        store_unit_result(
+            result_path, ext.fingerprint, pack_shard_result(delta)
+        )
     else:
         # Finished in an earlier invocation: nothing measured now.
         delta = unpack_shard_result(cached)
@@ -294,8 +305,8 @@ def extend_campaign(
 
 def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
                    progress) -> ShardResult:
-    """Run the delta campaign under *ext*'s ledger; returns it as one
-    shard result (batch counters included)."""
+    """Run the delta campaign under *ext*'s ``delta.state``; returns it
+    as one shard result (batch counters included)."""
     world = build_world(plan.config)
     campaign = Campaign(
         world,
@@ -310,6 +321,5 @@ def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
     if plan.kind == "nodes":
         base_ids = fleet_node_ids(plan.base_config)
         nodes = [node for node in nodes if node.node_id not in base_ids]
-    return measure_shard(
-        campaign, nodes, 0, ext.measure_checkpoint("delta"), progress
-    )
+    checkpoint = MeasureCheckpoint(ext.directory, "delta", ext.fingerprint)
+    return measure_shard(campaign, nodes, 0, checkpoint, progress)

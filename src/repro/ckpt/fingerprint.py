@@ -1,4 +1,4 @@
-"""Campaign fingerprinting: what makes a ledger resumable.
+"""Campaign fingerprinting: what makes a checkpoint resumable.
 
 A checkpoint may only ever be resumed by a campaign that would have
 produced byte-identical results from scratch.  The fingerprint hashes
@@ -10,10 +10,10 @@ every code-relevant input:
   (fault seed included),
 * the derived :class:`~repro.core.plan.WorldPlan` — so drift in the
   plan-fitting code itself (which would build a different fleet from
-  the same config) also invalidates old ledgers,
-* the execution shape — serial vs sharded, shard count, node cap,
-  client-stream seeds/name tags, Atlas parameters — because those
-  choose which RNG streams measure which node.
+  the same config) also invalidates old checkpoints,
+* the execution shape — sharded campaign or extension delta, shard
+  count, node cap, client-stream seeds/name tags, Atlas parameters —
+  because those choose which RNG streams measure which node.
 
 Two campaigns share a fingerprint exactly when their uninterrupted
 datasets would be identical; anything else raises
@@ -30,9 +30,10 @@ from repro.core.plan import WorldPlan
 
 __all__ = ["campaign_fingerprint"]
 
-#: Bump when the ledger/state format changes incompatibly.  Format 2:
-#: wirepack ledger batches and sealed ``.result``/``.state``/config.
-FORMAT_VERSION = 2
+#: Bump when the checkpoint format changes incompatibly.  Format 3: one
+#: sealed ``.state`` per unfinished unit holds its committed batches
+#: (wirepack) and world state; sealed ``.result``/config as before.
+FORMAT_VERSION = 3
 
 
 def campaign_fingerprint(
@@ -43,8 +44,8 @@ def campaign_fingerprint(
     """Stable hex digest identifying one resumable campaign.
 
     *execution* is a plain JSON-able dict describing the execution
-    shape (mode, shard count, Atlas parameters...); ``None`` means the
-    bare serial campaign with defaults.  *plan* is the config's
+    shape (mode, shard count, Atlas parameters...); ``None`` is an
+    empty one.  *plan* is the config's
     :class:`WorldPlan` when the caller already derived it; ``None``
     fits it here.
     """

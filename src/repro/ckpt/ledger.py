@@ -1,27 +1,25 @@
-"""The append-only, checksummed sample journal.
+"""The append-only, checksummed record format of the service journal.
 
-One ledger file per unit of batched work (the serial campaign, each
-measurement shard, an extension delta).  The format is JSON Lines;
-every line is one record::
+The service's crash journal (:mod:`repro.service.journal`) is the one
+ledger.  The format is JSON Lines; every line is one record::
 
     {"k": <kind>, "n": <seq>, "p": <payload>, "c": <checksum>}
 
-* ``k`` — record kind (``header``, ``batch``, ``done``),
+* ``k`` — record kind (``header`` first, then the journal's events),
 * ``n`` — sequence number, contiguous from 0 (the header),
-* ``p`` — the payload (for ``batch``: the raw samples as one base64
-  wirepack blob, see :mod:`repro.parallel.wirepack`),
+* ``p`` — the JSON payload,
 * ``c`` — BLAKE2b digest over the canonical JSON of ``[k, n, p]``.
 
-Appends are flushed and fsync'd before the writer reports the batch
-committed, so a journal is always a prefix of what the campaign
-measured.  Readers verify checksums and sequence contiguity:
+Appends are flushed and fsync'd before the writer returns, so a
+ledger is always a prefix of what was appended.  Readers verify
+checksums and sequence contiguity:
 
 * a corrupt or partial **final** record is a torn write from a crash —
   it is dropped and the file truncated back to the clean prefix; so is
   a final record cut off before its newline,
 * corruption **before** the final record means the file was damaged at
   rest — that raises :class:`CheckpointCorruptionError` instead of
-  silently losing samples in the middle of a campaign.  A damaged
+  silently losing records from the middle of the ledger.  A damaged
   newline that runs the last two records together counts as such.
 """
 
@@ -37,7 +35,8 @@ __all__ = ["LedgerReader", "LedgerRecord", "LedgerWriter", "read_ledger"]
 
 
 class CheckpointCorruptionError(Exception):
-    """A ledger failed checksum or structural verification."""
+    """A ledger failed checksum or structural verification, or a
+    checkpoint's manifest or ``config.pkl`` does not read back."""
 
 
 def _canonical(kind: str, seq: int, payload: Any) -> bytes:
@@ -70,14 +69,6 @@ class LedgerLoad:
     clean_bytes: int
     #: True when a torn/corrupt tail record was dropped during load.
     dropped_tail: bool
-    #: End byte offset of each verified record (for prefix truncation).
-    offsets: List[int]
-
-    @property
-    def header(self) -> Optional[LedgerRecord]:
-        if self.records and self.records[0].kind == "header":
-            return self.records[0]
-        return None
 
 
 class LedgerWriter:
@@ -166,7 +157,6 @@ def read_ledger(path: str) -> Optional[LedgerLoad]:
         return None
 
     records: List[LedgerRecord] = []
-    offsets: List[int] = []
     offset = 0
     lines = blob.split(b"\n")
     # Every append ends with a newline, so the piece after the last one
@@ -187,12 +177,8 @@ def read_ledger(path: str) -> Optional[LedgerLoad]:
             )
         records.append(record)
         offset += len(line) + 1
-        offsets.append(offset)
     return LedgerLoad(
-        records=records,
-        clean_bytes=offset,
-        dropped_tail=dropped_tail,
-        offsets=offsets,
+        records=records, clean_bytes=offset, dropped_tail=dropped_tail
     )
 
 

@@ -1,25 +1,21 @@
 """Checkpoint health classification and quarantine.
 
-A long-running service cannot treat every damaged checkpoint the same
-way.  The ledger format distinguishes two failure modes
-(:mod:`repro.ckpt.ledger`), and the service acts on the distinction:
-
-* **torn tail** — the final record is partial or fails its checksum:
-  the signature of a crash mid-append.  Safe to resume; the reader
-  truncates back to the clean prefix and at most one batch interval of
-  work is re-measured.
-* **mid-file corruption** — a record *before* the end fails
-  verification: the file was damaged at rest (bad disk, truncation by
-  an outside tool, manual editing).  Resuming would silently splice a
-  hole into the dataset, so the service **quarantines** the checkpoint:
-  the whole directory is moved aside — original bytes preserved, never
-  overwritten — and the run stops with a distinct exit code.
+Every file of a checkpoint that holds data is either written
+atomically (the manifest) or sealed (``config.pkl``, each unit's
+``.state`` or ``.result``), so a crash leaves the old file or the new
+one, never a torn hybrid.  A file that does not read back clean was
+therefore damaged at rest (bad disk, truncation by an outside tool,
+manual editing), or belongs to another campaign or format: the
+checkpoint is **stale**.  Resuming it would measure the damaged unit
+again, which is byte-safe, but the longitudinal service
+**quarantines** it instead: the whole directory is moved aside —
+original bytes preserved, never overwritten — and the run stops with
+a distinct exit code, so damage at rest is never silently absorbed.
 
 :func:`verify_checkpoint_dir` performs the classification;
 :func:`quarantine_checkpoint` performs the move.  ``repro ckpt
-verify`` maps the classification onto distinct process exit codes so
-shell scripts and CI can branch on "safe to resume" vs "quarantine"
-(see docs/checkpointing.md).
+verify`` maps the classification onto process exit codes so shell
+scripts and CI can branch on it (see docs/checkpointing.md).
 """
 
 from __future__ import annotations
@@ -32,18 +28,18 @@ from typing import List, Optional
 from repro.ckpt.checkpoint import (
     CONFIG_NAME,
     CampaignCheckpoint,
+    CheckpointError,
     load_unit_result,
+    load_unit_state,
 )
 from repro.ckpt.fingerprint import FORMAT_VERSION
-from repro.ckpt.ledger import CheckpointCorruptionError, read_ledger
+from repro.ckpt.ledger import CheckpointCorruptionError
 
 __all__ = [
     "CheckpointHealth",
     "QUARANTINE_DIRNAME",
     "VERIFY_CLEAN",
-    "VERIFY_CORRUPT",
     "VERIFY_STALE",
-    "VERIFY_TORN",
     "quarantine_checkpoint",
     "verify_checkpoint_dir",
 ]
@@ -52,11 +48,9 @@ __all__ = [
 QUARANTINE_DIRNAME = "quarantine"
 
 #: ``repro ckpt verify`` exit codes (documented contract; the service
-#: and CI branch on them).  Higher codes are strictly worse.
-VERIFY_CLEAN = 0     # every ledger checksums clean end to end
-VERIFY_STALE = 1     # structural problems (fingerprint drift, stale blobs)
-VERIFY_TORN = 2      # a crash-torn tail only: safe to resume
-VERIFY_CORRUPT = 3   # mid-file corruption: quarantine, never resume
+#: and CI branch on them).
+VERIFY_CLEAN = 0     # every file reads back clean
+VERIFY_STALE = 1     # a damaged, foreign or older-format file
 
 
 @dataclass
@@ -64,85 +58,63 @@ class CheckpointHealth:
     """Classification of one checkpoint directory."""
 
     directory: str
-    #: One of "clean", "stale", "torn", "corrupt", strictly worsening.
-    status: str = "clean"
     #: Human-readable findings, one per inspected file.
     notes: List[str] = field(default_factory=list)
-    #: Findings that made the status non-clean.
+    #: Findings that make the checkpoint stale.
     problems: List[str] = field(default_factory=list)
 
     @property
+    def status(self) -> str:
+        """``"clean"``, or ``"stale"`` once anything is a problem."""
+        return "stale" if self.problems else "clean"
+
+    @property
     def exit_code(self) -> int:
-        return {
-            "clean": VERIFY_CLEAN,
-            "stale": VERIFY_STALE,
-            "torn": VERIFY_TORN,
-            "corrupt": VERIFY_CORRUPT,
-        }[self.status]
+        return VERIFY_STALE if self.problems else VERIFY_CLEAN
 
     @property
     def resumable(self) -> bool:
-        """Whether ``--resume auto`` is safe (never after corruption)."""
-        return self.status in ("clean", "torn")
-
-    def _worsen(self, status: str) -> None:
-        order = ("clean", "stale", "torn", "corrupt")
-        if order.index(status) > order.index(self.status):
-            self.status = status
+        """Whether the service resumes the checkpoint rather than
+        quarantining it."""
+        return not self.problems
 
 
 def verify_checkpoint_dir(directory: str) -> CheckpointHealth:
-    """Checksum-verify every ledger and sealed blob under *directory*.
+    """Check the manifest and the seal of every sealed file under
+    *directory*.
 
     Classifies the checkpoint for the resume-vs-quarantine decision;
-    never modifies anything.  Nested extension checkpoints are not
+    never modifies anything.  A missing or unreadable manifest is a
+    problem like any other.  Nested extension checkpoints are not
     descended into (verify them separately).
     """
     health = CheckpointHealth(directory=directory)
-    checkpoint = CampaignCheckpoint.load(directory)  # raises if no manifest
+    try:
+        checkpoint = CampaignCheckpoint.load(directory)
+    except (CheckpointError, CheckpointCorruptionError) as exc:
+        health.problems.append(str(exc))
+        return health
     written = checkpoint.manifest.get("format")
     if written != FORMAT_VERSION:
-        health._worsen("stale")
         health.problems.append(
             "checkpoint format {} (this version reads format {})".format(
                 written, FORMAT_VERSION))
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
-        if name.endswith(".ledger"):
-            try:
-                load = read_ledger(path)
-            except CheckpointCorruptionError as exc:
-                health._worsen("corrupt")
-                health.problems.append("{}: {}".format(name, exc))
-                continue
-            header = load.header.payload if load.header else {}
-            if load.records and (
-                header.get("fingerprint") != checkpoint.fingerprint
-            ):
-                health._worsen("stale")
-                health.problems.append(
-                    "{}: fingerprint {} does not match the manifest's "
-                    "{}".format(name, header.get("fingerprint"),
-                                checkpoint.fingerprint))
-                continue
-            batches = sum(
-                1 for record in load.records if record.kind == "batch")
-            done = any(record.kind == "done" for record in load.records)
-            if load.dropped_tail:
-                health._worsen("torn")
-                health.problems.append(
-                    "{}: torn tail record dropped (crash mid-append; "
-                    "safe to resume)".format(name))
-            health.notes.append("{}: {} batch record(s), {}".format(
-                name, batches, "complete" if done else "in progress"))
-        elif name.endswith((".result", ".state")) or name == CONFIG_NAME:
-            if load_unit_result(path, checkpoint.fingerprint) is None:
-                health._worsen("stale")
-                health.problems.append(
-                    "{}: blob fails its seal (damaged or stale)".format(
-                        name))
-            else:
-                health.notes.append("{}: seal ok".format(name))
+        if name.endswith(".state"):
+            state = load_unit_state(path, checkpoint.fingerprint)
+            note = None if state is None else (
+                "{} committed batch(es)".format(len(state["batches"])))
+        elif name.endswith(".result") or name == CONFIG_NAME:
+            sealed = load_unit_result(path, checkpoint.fingerprint)
+            note = None if sealed is None else "seal ok"
+        else:
+            continue
+        if note is None:
+            health.problems.append(
+                "{}: fails its seal (damaged or stale)".format(name))
+        else:
+            health.notes.append("{}: {}".format(name, note))
     return health
 
 

@@ -18,7 +18,8 @@ Examples::
     python -m repro campaign --scale 0.05 --out dataset.json
     python -m repro campaign --scale 1.0 --workers 4 --out dataset.json
     python -m repro campaign --scale 0.05 --observe --out dataset.json
-    python -m repro campaign --scale 0.2 --checkpoint-dir ckpt/ --resume
+    python -m repro campaign --scale 0.2 --shards 4 \
+        --checkpoint-dir ckpt/ --resume
     python -m repro ckpt status ckpt/
     python -m repro ckpt extend ckpt/ --dataset dataset.json \
         --provider adguard --out extended.json
@@ -99,9 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(never changes the dataset itself, see "
                                "docs/observability.md)")
     campaign.add_argument("--checkpoint-dir", default=None,
-                          help="journal every batch to this directory so "
+                          help="commit every batch to this directory so "
                                "a killed run can be resumed byte-"
-                               "identically (see docs/checkpointing.md)")
+                               "identically; needs --shards (see "
+                               "docs/checkpointing.md)")
     campaign.add_argument("--resume", nargs="?", const="auto",
                           choices=("never", "auto", "force"),
                           default="never",
@@ -119,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ck_status.add_argument("dir", help="checkpoint directory")
     ck_verify = cksub.add_parser(
-        "verify", help="checksum-verify every ledger and result blob"
+        "verify", help="check the manifest and every sealed file"
     )
     ck_verify.add_argument("dir", help="checkpoint directory")
     ck_gc = cksub.add_parser(
@@ -250,23 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_serial_campaign(args, config):
-    """The workers=1 campaign path, optionally checkpointed."""
+    """The unsharded workers=1 campaign path."""
     from repro.obs import Observability
-
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.ckpt import CampaignCheckpoint
-
-        checkpoint = CampaignCheckpoint.open(
-            args.checkpoint_dir,
-            config,
-            execution={
-                "mode": "serial",
-                "atlas_probes_per_country": args.atlas_probes,
-                "observe": bool(args.observe),
-            },
-            resume=args.resume,
-        )
 
     print("building world (scale={}, seed={})...".format(
         args.scale, args.seed))
@@ -279,24 +266,7 @@ def _run_serial_campaign(args, config):
         atlas_probes_per_country=args.atlas_probes,
         obs=Observability() if args.observe else None,
     )
-    if checkpoint is None:
-        return campaign.run()
-    # A finished checkpoint replays every batch from its ledger and
-    # restores the world after the last one, so the rest of the run
-    # (Atlas, dataset build) repeats the original exactly.
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    batch = max(1, config.batch_size)
-    batches = (len(world.nodes()) + batch - 1) // batch
-    checkpoint.record_run({"workers": 1, "units": [{
-        "role": "serial",
-        "batches_replayed": measure.resumed_batches,
-        "batches_measured": batches - measure.resumed_batches}]})
-    checkpoint.mark_complete()
-    return result
+    return campaign.run()
 
 
 def _checkpoint_summary(directory):
@@ -314,6 +284,14 @@ def _checkpoint_summary(directory):
 
 
 def _cmd_campaign(args) -> int:
+    sharded = args.workers != 1 or args.shards is not None
+    if args.checkpoint_dir and not sharded:
+        # Each checkpoint commit rewrites its unit's samples, so only
+        # shard-sized units are checkpointed.
+        print("repro campaign: error: --checkpoint-dir needs --shards "
+              "(--shards 1 keeps the run in one process)",
+              file=sys.stderr)
+        return 2
     faults = None
     if args.fault_preset:
         from repro.faults import FaultPlan
@@ -327,7 +305,7 @@ def _cmd_campaign(args) -> int:
         faults=faults,
     )
     started = time.time()
-    if args.workers != 1 or args.shards is not None:
+    if sharded:
         from repro.parallel import run_parallel_campaign
         from repro.parallel.executor import default_worker_count
 
@@ -646,7 +624,7 @@ def _ckpt_status(args) -> int:
                   entry.get("do53_added"), entry.get("clients_added")))
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
-        if name.endswith((".ledger", ".state", ".result")):
+        if name.endswith((".state", ".result")):
             print("  {:<24} {:>10} bytes".format(
                 name, os.path.getsize(path)))
         elif os.path.isdir(path) and name.startswith("ext-"):
@@ -659,8 +637,8 @@ def _ckpt_verify(args) -> int:
     """Classify a checkpoint and exit with its health code.
 
     Exit codes are a documented contract (docs/checkpointing.md):
-    0 = clean, 1 = stale structure, 2 = torn tail only (safe to
-    resume), 3 = mid-file corruption (quarantine, never resume).
+    0 = clean, 1 = stale (a missing or unreadable manifest, an older
+    format, or a sealed file that fails its seal).
     """
     from repro.ckpt import verify_checkpoint_dir
 
@@ -669,14 +647,12 @@ def _ckpt_verify(args) -> int:
         print("  {}".format(note))
     for problem in health.problems:
         print("PROBLEM: {}".format(problem))
-    if health.status == "clean":
-        print("checkpoint {} verified: every ledger checksums clean "
-              "end to end".format(args.dir))
+    if health.resumable:
+        print("checkpoint {} verified: every file reads back "
+              "clean".format(args.dir))
     else:
-        print("checkpoint {} status: {} ({})".format(
-            args.dir, health.status,
-            "safe to resume" if health.resumable
-            else "do NOT resume; quarantine"))
+        print("checkpoint {} status: stale (the service quarantines "
+              "it)".format(args.dir))
     return health.exit_code
 
 
@@ -685,7 +661,6 @@ def _ckpt_gc(args) -> int:
 
     from repro.ckpt import CampaignCheckpoint
     from repro.ckpt.checkpoint import load_unit_result
-    from repro.ckpt.ledger import CheckpointCorruptionError, read_ledger
 
     checkpoint = CampaignCheckpoint.load(args.dir)
     reclaimed = 0
@@ -703,15 +678,9 @@ def _ckpt_gc(args) -> int:
             continue
         if name.endswith(".tmp"):
             remove(path)
-        elif name.endswith(".ledger"):
-            try:
-                load = read_ledger(path)
-            except CheckpointCorruptionError:
-                continue  # never auto-delete data; see 'ckpt verify'
-            header = load.header.payload if load.header else {}
-            if header.get("fingerprint") != checkpoint.fingerprint:
-                remove(path)
-        elif name.endswith(".result"):
+        elif name.endswith((".state", ".result")):
+            # A unit file that fails its seal is measured again from
+            # batch 0 anyway.
             if load_unit_result(path, checkpoint.fingerprint) is None:
                 remove(path)
     print("removed {} file(s), reclaimed {} bytes".format(

@@ -276,11 +276,12 @@ class Campaign:
 
         *checkpoint*, if given, is a
         :class:`~repro.ckpt.checkpoint.MeasureCheckpoint`: every
-        committed batch is journalled (samples to the ledger, world
-        state to the state blob), and a later call with the same
-        checkpoint replays the journal, restores the world, and
-        measures only the remaining batches — producing byte-identical
-        records (see docs/checkpointing.md).
+        committed batch rewrites the unit's sealed ``.state`` (the
+        samples of every batch so far plus the world state after this
+        one), and a later call with the same checkpoint replays those
+        samples, restores the world, and measures only the remaining
+        batches — producing byte-identical records (see
+        docs/checkpointing.md).
         """
         world = self.world
         sim = world.sim
@@ -329,7 +330,7 @@ class Campaign:
                 start = batch_index * batch_size
                 done_nodes = min(start + batch_size, len(nodes))
                 if batch_index < resume_batches:
-                    # Replayed from the ledger; the restored world state
+                    # Replayed from the .state; the restored world state
                     # already reflects having measured this batch.
                     if progress is not None:
                         progress(done_nodes, len(nodes))
@@ -375,7 +376,6 @@ class Campaign:
                 if checkpoint is not None:
                     checkpoint.commit_batch(
                         self,
-                        batch_index,
                         raw_doh[doh_before:],
                         raw_do53[do53_before:],
                         self.failures[failures_before:],
@@ -385,13 +385,11 @@ class Campaign:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if checkpoint is not None:
-            checkpoint.finish()
-            if self.obs is not None:
-                self.obs.metrics.set_gauge(
-                    "ckpt.{}.batches_measured".format(checkpoint.role),
-                    float(num_batches - resume_batches),
-                )
+        if checkpoint is not None and self.obs is not None:
+            self.obs.metrics.set_gauge(
+                "ckpt.{}.batches_measured".format(checkpoint.role),
+                float(num_batches - resume_batches),
+            )
         if self.obs is not None:
             self._observe_measurements(raw_doh, raw_do53)
         return raw_doh, raw_do53
@@ -429,21 +427,16 @@ class Campaign:
         self,
         nodes: Optional[Sequence[ExitNode]] = None,
         progress=None,
-        checkpoint=None,
     ) -> CampaignResult:
         """Execute the campaign; returns the processed dataset.
 
         *progress*, if given, is called as ``progress(done, total)``
         after every batch (long full-scale runs print from it).
-        *checkpoint* makes the measurement phase resumable (see
-        :meth:`measure`); the post-measurement phases (validation,
-        dataset build, Atlas) are recomputed deterministically from the
-        replayed records and restored world on every resume.
         """
         world = self.world
         if nodes is None:
             nodes = world.nodes()
-        raw_doh, raw_do53 = self.measure(nodes, progress, checkpoint)
+        raw_doh, raw_do53 = self.measure(nodes, progress)
 
         # -- Maxmind validation (discard label mismatches) -----------------
         kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)

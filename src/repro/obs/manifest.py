@@ -70,8 +70,9 @@ def build_manifest(
 
     *checkpoint*, for checkpointed runs, records resume provenance: the
     checkpoint directory and fingerprint, the per-run resume counters
-    (batches replayed from the ledger vs measured live), and the
-    extension lineage (see :mod:`repro.ckpt`).  None for plain runs.
+    (batches replayed from a ``.state`` or ``.result`` vs measured
+    live), and the extension lineage (see :mod:`repro.ckpt`).  None
+    for plain runs.
 
     *availability* and *service*, for longitudinal service runs
     (:mod:`repro.service`), carry the compact SLO summary and the

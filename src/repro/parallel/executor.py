@@ -157,10 +157,11 @@ def run_parallel_campaign(
     all shard traces.  The dataset stays byte-identical either way.
 
     *checkpoint_dir* makes the run crash-safe (see :mod:`repro.ckpt`):
-    every shard journals its batches there, completed units persist
-    ``<role>.result`` blobs, and a rerun with *resume* ``"auto"``
-    skips finished units, resumes interrupted ones from their ledger,
-    and produces a dataset byte-identical to an uninterrupted run.
+    every shard commits its batches to a sealed ``<role>.state``
+    there, completed units persist ``<role>.result`` blobs, and a
+    rerun with *resume* ``"auto"`` skips finished units, resumes
+    interrupted ones from their ``.state``, and produces a dataset
+    byte-identical to an uninterrupted run.
 
     *run_index_offset*/*client_seed_offset*/*name_prefix* give one
     campaign an identity within a longer sequence (the epoch plumbing

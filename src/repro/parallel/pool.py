@@ -23,10 +23,10 @@ protocol:
 
 Crash/hang handling never deadlocks the parent: a dead worker is
 detected by polling, its task is retried on a respawned worker (safe —
-shard execution is a pure function of ``(config, spec)``, and the
-shard ledger truncation/resume makes retries exact under
-checkpointing), and a hung worker is escalated ``terminate() → grace →
-kill()`` so even a SIGTERM-ignoring child cannot wedge shutdown.
+shard execution is a pure function of ``(config, spec)``, and a
+shard's ``.state`` resume makes retries exact under checkpointing),
+and a hung worker is escalated ``terminate() → grace → kill()`` so
+even a SIGTERM-ignoring child cannot wedge shutdown.
 
 Byte-identity invariant: everything a pool changes is transport and
 world *reuse*; the restored world is indistinguishable from a fresh

@@ -3,7 +3,8 @@
 Every sample the program ships or stores is wirepack: a shard's whole
 result crossing from a pool worker to the parent, the same bytes kept
 as the shard's sealed ``<role>.result`` checkpoint blob, and each
-ledger ``batch`` record (base64).  One blob holds
+committed batch inside an unfinished unit's sealed ``<role>.state``.
+One blob holds
 
 * an interned string table (node ids, IPs, countries, providers,
   qnames, header keys — almost every string repeats many times per
@@ -19,8 +20,8 @@ ledger ``batch`` record (base64).  One blob holds
 Decoders read bytes from disk and from other processes, so they check
 every length and index and reject trailing bytes: a malformed blob
 raises :class:`WirepackError`.  Wirepack has no checksum of its own;
-on disk, a ledger record checksum or a seal
-(:func:`repro.ckpt.checkpoint.seal`) guards every blob.
+on disk, a seal (:func:`repro.ckpt.checkpoint.seal`) guards every
+blob.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ class ShardTask:
     #: measured records themselves.
     observe: bool = False
     #: Campaign checkpoint directory (see :mod:`repro.ckpt`).  When
-    #: set, the shard journals every batch to ``shard-<k>.ledger``,
+    #: set, the shard commits every batch to ``shard-<k>.state``,
     #: resumes from it on a retry after a crash, and is skipped
     #: entirely when its ``shard-<k>.result`` blob already matches
     #: *fingerprint*.
@@ -210,7 +210,7 @@ class ShardResult:
     metrics: Optional[Dict] = None
     traces: Optional[List[Dict]] = None
     #: Resume bookkeeping for the campaign manifest: batches replayed
-    #: from the shard's ledger vs measured live by this invocation.
+    #: from the shard's ``.state`` vs measured live by this invocation.
     resumed_batches: int = 0
     measured_batches: int = 0
 
@@ -228,17 +228,13 @@ def measure_shard(
     resolver_ip)`` pairs for the PoP join, the measured nodes' client
     rows, the geolocation snapshot (shard 0 only) and batch counters.
 
-    *checkpoint*, if given, journals the batches and is closed here.
-    The shard worker and ``ckpt extend``'s delta both build their
-    result this way.
+    *checkpoint*, if given, commits every batch to the unit's
+    ``.state``.  The shard worker and ``ckpt extend``'s delta both
+    build their result this way.
     """
-    try:
-        raw_doh, raw_do53 = campaign.measure(
-            nodes, progress, checkpoint=checkpoint
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    raw_doh, raw_do53 = campaign.measure(
+        nodes, progress, checkpoint=checkpoint
+    )
     world = campaign.world
     kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
     kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)

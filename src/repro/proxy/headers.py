@@ -129,8 +129,8 @@ class TimelineHeaders:
         return "TimelineHeaders(tun={!r}, box={!r})".format(self.tun, self.box)
 
     def __eq__(self, other) -> bool:
-        """Value equality, so raw records round-tripped through the
-        sample ledger compare equal to the originals."""
+        """Value equality, so raw records round-tripped through a
+        checkpoint compare equal to the originals."""
         if not isinstance(other, TimelineHeaders):
             return NotImplemented
         return self.tun == other.tun and self.box == other.box

@@ -3,7 +3,7 @@
 Everything the supervisor, the CLI, the drills, and the tests touch
 goes through these helpers — hand-built paths were how the original
 resume drill and the supervisor could silently disagree about where a
-ledger lives.  Layout::
+checkpoint file lives.  Layout::
 
     <dir>/service.json              identity manifest (master seed,
                                     scale, epochs, shard count, ...)
@@ -19,7 +19,6 @@ ledger lives.  Layout::
 
 from __future__ import annotations
 
-import glob
 import os
 from typing import List
 
@@ -33,7 +32,6 @@ __all__ = [
     "epoch_dirs",
     "epochs_root",
     "journal_path",
-    "ledger_paths",
     "manifest_sidecar_path",
     "quarantine_root",
     "service_manifest_path",
@@ -103,11 +101,6 @@ def epoch_dirs(directory: str) -> List[str]:
 def quarantine_root(directory: str) -> str:
     """``<dir>/quarantine/`` — where damaged checkpoints are moved."""
     return os.path.join(directory, QUARANTINE_DIRNAME)
-
-
-def ledger_paths(checkpoint_dir: str) -> List[str]:
-    """Every sample ledger inside one campaign checkpoint directory."""
-    return sorted(glob.glob(os.path.join(checkpoint_dir, "*.ledger")))
 
 
 def checkpoint_manifest_path(checkpoint_dir: str) -> str:

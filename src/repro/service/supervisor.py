@@ -12,8 +12,9 @@ Robustness posture (the reason this module exists):
 
 * **graceful SIGTERM/SIGINT** — the first signal raises
   :class:`GracefulShutdown` in the main thread; every byte already
-  committed is crash-safe by construction (ledgers are fsync'd,
-  artifacts are atomic renames), so stopping anywhere is safe.  The
+  committed is crash-safe by construction (unit files, journal records
+  and artifacts are fsync'd, files are replaced by atomic renames),
+  so stopping anywhere is safe.  The
   supervisor journals the shutdown and exits ``EXIT_INTERRUPTED``;
 * **watchdog deadline per epoch** — ``SIGALRM`` bounds each epoch
   attempt; an overrunning epoch is aborted and retried, and because
@@ -23,7 +24,8 @@ Robustness posture (the reason this module exists):
   loss, simulation errors) retry up to ``max_epoch_retries`` times
   with linear backoff before the service exits ``EXIT_EPOCH_FAILED``;
 * **quarantine, never overwrite** — a checkpoint that fails
-  verification with mid-file corruption is moved under
+  verification (an unreadable manifest, a file that fails its seal)
+  is moved under
   ``<dir>/quarantine/`` with its bytes intact and the service exits
   ``EXIT_QUARANTINE``; restoring the bytes and running ``repro
   service resume`` picks up where it left off;
@@ -601,38 +603,29 @@ class ServiceSupervisor:
         """Verify (and if needed quarantine) an epoch's checkpoint."""
         if not os.path.isdir(directory):
             return
-        try:
-            health = verify_checkpoint_dir(directory)
-        except CheckpointError:
-            # A directory without a usable manifest: if it holds no
-            # sample ledgers it is an empty husk from a crash before
-            # the first write and is safe to adopt; with ledgers it is
-            # somebody's data — move it aside.
-            if not paths.ledger_paths(directory):
-                return
-            destination = quarantine_checkpoint(
-                directory,
-                paths.quarantine_root(self.directory),
-                reason="ledgers present but checkpoint manifest "
-                       "unreadable",
-            )
-            self._journal_quarantine(
-                journal, epoch, destination, "manifest unreadable"
-            )
-            raise QuarantinedCheckpointError(
-                "epoch {} checkpoint had ledgers but no readable "
-                "manifest; moved to {!r}".format(epoch, destination),
-                destination,
-            )
+        if not os.path.exists(
+            paths.checkpoint_manifest_path(directory)
+        ) and not any(
+            name.endswith((".state", ".result"))
+            for name in os.listdir(directory)
+        ):
+            # No manifest and no unit file: an empty husk from a crash
+            # before the manifest was written, safe to adopt.  With a
+            # unit file it is somebody's data, and verification fails.
+            return
+        health = verify_checkpoint_dir(directory)
         if health.resumable:
             return
-        reason = "; ".join(health.problems) or health.status
+        reason = "; ".join(health.problems)
         destination = quarantine_checkpoint(
             directory,
             paths.quarantine_root(self.directory),
             reason=reason,
         )
-        self._journal_quarantine(journal, epoch, destination, reason)
+        journal.append(
+            "quarantine",
+            {"epoch": epoch, "moved_to": destination, "reason": reason},
+        )
         self.metrics.inc("service.quarantines")
         raise QuarantinedCheckpointError(
             "epoch {} checkpoint failed verification ({}); original "
@@ -642,15 +635,6 @@ class ServiceSupervisor:
                 epoch, reason, destination
             ),
             destination,
-        )
-
-    @staticmethod
-    def _journal_quarantine(
-        journal: ServiceJournal, epoch: int, destination: str, reason: str
-    ) -> None:
-        journal.append(
-            "quarantine",
-            {"epoch": epoch, "moved_to": destination, "reason": reason},
         )
 
     def _verify_replayed_epoch(

@@ -2,9 +2,9 @@
 
 Crash drills need a real process to kill: ``WorkerCrash`` dies with
 ``os._exit`` and SIGKILL is, by definition, not survivable in-process.
-The runner script below is written to ``tmp_path`` (spawn-based
-multiprocessing cannot re-import an in-memory ``__main__``) and driven
-via argv.
+The runner script below is written to a temporary directory once per
+session and driven via argv; with one worker it measures in its own
+process, so a ``WorkerCrash`` ends the runner itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-#: One serial checkpointed campaign, parameterised entirely via argv:
+#: One one-shard campaign in this process, parameterised via argv:
 #:   runner.py <faults> <crash_after> <ckpt_dir> <resume> <out.json>
 #: faults       -- "none" or "chaos"
 #: crash_after  -- 0 for no crash, N to die before batch index N
@@ -25,11 +25,9 @@ RUNNER = '''
 import dataclasses
 import sys
 
-from repro.ckpt import CampaignCheckpoint
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
 from repro.faults.plan import FaultPlan, WorkerCrash
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 faults, crash_after, ckpt_dir, resume, out = sys.argv[1:6]
@@ -45,44 +43,36 @@ config = ReproConfig(
     batch_size=25,
     faults=plan,
 )
-world = build_world(config)
-campaign = Campaign(world, atlas_probes_per_country=0)
-if ckpt_dir == "-":
-    result = campaign.run()
-else:
-    checkpoint = CampaignCheckpoint.open(
-        ckpt_dir, config, execution={"mode": "serial"}, resume=resume
-    )
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    checkpoint.record_run({"workers": 1, "units": [{
-        "role": "serial",
-        "batches_replayed": measure.resumed_batches,
-    }]})
-    checkpoint.mark_complete()
+result = run_parallel_campaign(
+    config, workers=1, num_shards=1, atlas_probes_per_country=0,
+    checkpoint_dir=None if ckpt_dir == "-" else ckpt_dir, resume=resume,
+)
 result.dataset.save(out)
 '''
 
 
-@pytest.fixture()
-def runner(tmp_path):
-    """Path of the runner script plus an invoker bound to tmp_path."""
-    script = tmp_path / "runner.py"
+def runner_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return env
+
+
+@pytest.fixture(scope="session")
+def runner(tmp_path_factory):
+    """An invoker of the runner script; ``runner.script`` is its path."""
+    root = tmp_path_factory.mktemp("runner")
+    script = root / "runner.py"
     script.write_text(RUNNER)
+    baselines = {}
 
     def invoke(faults, crash_after, ckpt_dir, resume, out, check=None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
         proc = subprocess.run(
             [sys.executable, str(script), faults, str(crash_after),
              ckpt_dir, resume, out],
-            env=env,
+            env=runner_env(),
             capture_output=True,
             text=True,
             timeout=300,
@@ -91,6 +81,17 @@ def runner(tmp_path):
             assert proc.returncode == check, proc.stderr
         return proc
 
+    def baseline(faults) -> bytes:
+        """Dataset bytes of the uncheckpointed, uncrashed run."""
+        if faults not in baselines:
+            out = str(root / "baseline-{}.json".format(faults))
+            invoke(faults, 0, "-", "never", out, check=0)
+            with open(out, "rb") as handle:
+                baselines[faults] = handle.read()
+        return baselines[faults]
+
+    invoke.script = str(script)
+    invoke.baseline = baseline
     return invoke
 
 

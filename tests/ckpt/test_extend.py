@@ -18,9 +18,8 @@ from repro.ckpt import (
     plan_extension,
 )
 from repro.ckpt.extend import fleet_node_ids
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 from tests.ckpt.conftest import read_manifest
@@ -32,20 +31,13 @@ BASE_CONFIG = ReproConfig(
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """One completed, checkpointed base campaign shared by the module."""
+    """One completed, checkpointed one-shard base campaign shared by
+    the module."""
     directory = str(tmp_path_factory.mktemp("base") / "ckpt")
-    checkpoint = CampaignCheckpoint.open(
-        directory, BASE_CONFIG, execution={"mode": "serial"}
+    result = run_parallel_campaign(
+        BASE_CONFIG, workers=1, num_shards=1, atlas_probes_per_country=0,
+        checkpoint_dir=directory,
     )
-    world = build_world(BASE_CONFIG)
-    campaign = Campaign(world, atlas_probes_per_country=0)
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    checkpoint.record_run({"workers": 1, "units": [{"role": "serial"}]})
-    checkpoint.mark_complete()
     return directory, result.dataset
 
 
@@ -73,6 +65,15 @@ class TestPlanValidation:
     def test_scale_must_grow(self):
         with pytest.raises(ValueError, match="must exceed"):
             plan_extension(BASE_CONFIG, scale=0.005)
+
+    def test_scale_must_add_a_node(self):
+        # Country floors give scales 0.005 and 0.006 the same fleet.
+        assert fleet_node_ids(
+            dataclasses.replace(
+                BASE_CONFIG, population=PopulationConfig(scale=0.006))
+        ) == fleet_node_ids(BASE_CONFIG)
+        with pytest.raises(ValueError, match="0.006 adds no exit node.*0.005"):
+            plan_extension(BASE_CONFIG, scale=0.006)
 
     def test_provider_plan_shape(self):
         plan = plan_extension(BASE_CONFIG, providers=("adguard",))

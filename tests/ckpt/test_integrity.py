@@ -1,35 +1,38 @@
 """Damaged checkpoint files never turn into a different dataset.
 
 Every blob in a checkpoint is sealed (magic, BLAKE2b checksum,
-format, fingerprint, file name) and every ledger record checksummed.
-A blob that fails its seal is treated as absent, so its unit is
-rebuilt from the ledger or measured again, both byte-safe, and
-``ckpt verify`` reports it as stale.  Each end-to-end case below
-damages one file of a finished checkpoint, resumes, and requires the
-first run's dataset bytes.
+format, fingerprint, file name).  A blob that fails its seal is
+treated as absent, so its unit is measured again from batch 0, which
+is byte-safe, and ``ckpt verify`` reports it as stale.  Each
+end-to-end case below damages one file of a checkpoint, resumes, and
+requires the bytes of an undamaged run.
 """
 
 import json
 import os
-import pickle
 import shutil
 import struct
 
 import pytest
 
 from repro.ckpt import (
+    VERIFY_CLEAN,
     VERIFY_STALE,
-    VERIFY_TORN,
     CampaignCheckpoint,
     CheckpointCorruptionError,
     CheckpointMismatchError,
     extend_campaign,
 )
-from repro.ckpt.checkpoint import load_unit_result, store_unit_result
+from repro.ckpt.checkpoint import (
+    load_unit_result,
+    load_unit_state,
+    store_unit_result,
+)
 from repro.cli import main
 from repro.core.campaign import NodeFailure
 from repro.core.config import ReproConfig
 from repro.dataset.store import Dataset
+from repro.faults.plan import WORKER_CRASH_EXIT
 from repro.parallel import ShardResult, run_parallel_campaign
 from repro.parallel.wirepack import pack_shard_result, unpack_shard_result
 from repro.proxy.population import PopulationConfig
@@ -129,8 +132,9 @@ def test_flipped_result_bit_is_stale_and_remeasures_the_shard(
     assert units["shard-1"]["batches_replayed"] == 0
 
 
-SERIAL_ARGS = ["campaign", "--scale", "0.005", "--atlas-probes", "2",
-               "--observe", "--fault-preset", "chaos"]
+SERIAL_ARGS = ["campaign", "--scale", "0.005", "--shards", "1",
+               "--atlas-probes", "2", "--observe", "--fault-preset",
+               "chaos"]
 
 
 def run_serial(directory, out, *extra):
@@ -140,7 +144,7 @@ def run_serial(directory, out, *extra):
 
 @pytest.fixture(scope="module")
 def serial(tmp_path_factory):
-    """A finished serial checkpoint (2 batches) and its first dataset."""
+    """A finished one-shard checkpoint (2 batches) and its dataset."""
     root = tmp_path_factory.mktemp("serial")
     directory, out = str(root / "ckpt"), str(root / "first.json")
     assert run_serial(directory, out) == 0
@@ -168,7 +172,10 @@ def test_finished_serial_checkpoint_replays_without_measuring(
     serial_copy, tmp_path
 ):
     directory, first = serial_copy
-    assert not os.path.exists(os.path.join(directory, "serial.result"))
+    # A finished checkpoint is its manifest, its config and its sealed
+    # results: no unit keeps a .state.
+    assert sorted(os.listdir(directory)) == [
+        "atlas.result", "checkpoint.json", "config.pkl", "shard-0.result"]
     second = str(tmp_path / "second.json")
     assert run_serial(directory, second, "--resume") == 0
 
@@ -188,13 +195,14 @@ def test_finished_serial_checkpoint_replays_without_measuring(
     assert unit["batches_replayed"] == 2
 
 
-def test_flipped_state_bit_is_stale_and_restarts_the_unit(
-    serial_copy, tmp_path
-):
-    directory, first = serial_copy
-    path = os.path.join(directory, "serial.state")
+def test_flipped_state_bit_is_stale_and_restarts_the_unit(runner, tmp_path):
+    # A unit killed mid-run: the crash drill stops it before batch 2.
+    directory = str(tmp_path / "ckpt")
+    out = str(tmp_path / "resumed.json")
+    runner("none", 2, directory, "never", out, check=WORKER_CRASH_EXIT)
+    path = os.path.join(directory, "shard-0.state")
     fingerprint = read_manifest(directory)["fingerprint"]
-    state = pickle.loads(load_unit_result(path, fingerprint))
+    state = load_unit_state(path, fingerprint)
     # The Mersenne-Twister word the world's next draw reads (all of
     # them feed the next twist once the position reaches 624), found
     # as pickle writes it (BININT).
@@ -206,31 +214,14 @@ def test_flipped_state_bit_is_stale_and_restarts_the_unit(
     flip_bit(path, offset + 1)
 
     assert main(["ckpt", "verify", directory]) == VERIFY_STALE
-    second = str(tmp_path / "second.json")
-    assert run_serial(directory, second, "--resume") == 0
-    assert read_bytes(second) == read_bytes(first)
-    assert last_run_unit(directory)["batches_replayed"] == 0
-
-
-def test_damaged_last_batch_restarts_instead_of_skipping_it(
-    serial_copy, tmp_path
-):
-    # The state blob covers 2 batches; the ledger keeps only 1 once
-    # its damaged last batch record is dropped as a torn tail.
-    directory, first = serial_copy
-    path = os.path.join(directory, "serial.ledger")
-    lines = read_bytes(path).splitlines(keepends=True)
-    assert [b'"k":"batch"' in line for line in lines] == [
-        False, True, True, False]
-    with open(path, "wb") as handle:
-        handle.write(b"".join(lines[:-1]))  # drop the done record
-    flip_bit(path, len(b"".join(lines[:2])) + len(lines[2]) // 2)
-
-    assert main(["ckpt", "verify", directory]) == VERIFY_TORN
-    second = str(tmp_path / "second.json")
-    assert run_serial(directory, second, "--resume") == 0
-    assert read_bytes(second) == read_bytes(first)
-    assert last_run_unit(directory)["batches_replayed"] == 0
+    # The damaged .state counts as absent, so the unit starts again at
+    # batch 0, where the drill (which fires only on a fresh start)
+    # stops it again and a clean .state replaces the damaged one.
+    runner("none", 2, directory, "auto", out, check=WORKER_CRASH_EXIT)
+    assert main(["ckpt", "verify", directory]) == VERIFY_CLEAN
+    runner("none", 2, directory, "auto", out, check=0)
+    assert read_bytes(out) == runner.baseline("none")
+    assert last_run_unit(directory)["batches_replayed"] == 2
 
 
 def test_flipped_config_bit_is_stale_and_never_unpickled(serial_copy):
@@ -255,5 +246,5 @@ def test_older_format_is_named_on_resume(serial_copy, tmp_path):
         json.dump(manifest, handle)
 
     assert main(["ckpt", "verify", directory]) == VERIFY_STALE
-    with pytest.raises(CheckpointMismatchError, match="format 1.*format 2"):
+    with pytest.raises(CheckpointMismatchError, match="format 1.*format 3"):
         run_serial(directory, str(tmp_path / "x.json"), "--resume")

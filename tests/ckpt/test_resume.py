@@ -1,11 +1,11 @@
 """Crash-resume parity: interrupted + resumed == never interrupted.
 
 The hard invariant of ``repro.ckpt``: a campaign that dies mid-flight
-and resumes from its ledger must produce **byte-identical** dataset
-files to one that ran straight through.  Exercised three ways:
+and resumes from its checkpoint must produce **byte-identical**
+dataset files to one that ran straight through.  Exercised three ways:
 
 * the ``worker_crash`` fault (``os._exit`` before a batch — the
-  deterministic preemption drill),
+  deterministic preemption drill) on a one-shard run,
 * a real ``SIGKILL`` landing at an arbitrary moment mid-campaign,
 * a crashed shard worker under the parallel executor at ``workers=4``.
 
@@ -22,57 +22,60 @@ import time
 
 import pytest
 
+from repro.ckpt.checkpoint import committed_batches
+from repro.cli import main
 from repro.core.config import ReproConfig
 from repro.faults.plan import FaultPlan, WorkerCrash, WORKER_CRASH_EXIT
 from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
-from tests.ckpt.conftest import read_manifest
+from tests.ckpt.conftest import read_manifest, runner_env
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 @pytest.mark.parametrize("faults", ["none", "chaos"])
-def test_crash_then_resume_is_byte_identical(runner, tmp_path, faults):
+def test_crash_then_resume_is_byte_identical(runner, tmp_path, capsys,
+                                             faults):
     ckpt = str(tmp_path / "ckpt")
     crashed_out = str(tmp_path / "resumed.json")
-    baseline_out = str(tmp_path / "baseline.json")
 
     # Fresh start dies before batch 2, exactly like a preemption.
     proc = runner(faults, 2, ckpt, "never", crashed_out)
     assert proc.returncode == WORKER_CRASH_EXIT, proc.stderr
     assert not os.path.exists(crashed_out)
 
+    # The unit is one file: its .state holds both committed batches.
+    assert sorted(os.listdir(ckpt)) == [
+        "checkpoint.json", "config.pkl", "shard-0.state"]
+    capsys.readouterr()
+    assert main(["ckpt", "verify", ckpt]) == 0
+    assert "shard-0.state: 2 committed batch(es)" in capsys.readouterr().out
+
     # Resume sails past the crash point and completes.
     runner(faults, 2, ckpt, "auto", crashed_out, check=0)
     manifest = read_manifest(ckpt)
     assert manifest["status"] == "complete"
     unit = manifest["runs"][-1]["units"][0]
-    assert unit["batches_replayed"] == 2  # batches 0 and 1 from the ledger
+    assert unit["batches_replayed"] == 2  # batches 0 and 1 from .state
 
-    # Baseline: same campaign, no crash, no checkpoint.
-    runner(faults, 0, "-", "never", baseline_out, check=0)
-
-    with open(crashed_out, "rb") as a, open(baseline_out, "rb") as b:
-        assert a.read() == b.read()
+    assert read_bytes(crashed_out) == runner.baseline(faults)
 
 
 def test_sigkill_then_resume_is_byte_identical(runner, tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    ledger = os.path.join(ckpt, "serial.ledger")
     resumed_out = str(tmp_path / "resumed.json")
-    baseline_out = str(tmp_path / "baseline.json")
 
-    # Launch an uncrashed checkpointed run and SIGKILL it once the
-    # journal holds at least two committed batches — an arbitrary
+    # Launch an uncrashed checkpointed run and SIGKILL it once its
+    # .state holds at least two committed batches — an arbitrary
     # mid-campaign moment, unlike the batch-aligned WorkerCrash drill.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
-        + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
     proc = subprocess.Popen(
-        [sys.executable, str(tmp_path / "runner.py"), "none", "0",
-         ckpt, "never", resumed_out],
-        env=env,
+        [sys.executable, runner.script, "none", "0", ckpt, "never",
+         resumed_out],
+        env=runner_env(),
     )
     try:
         deadline = time.time() + 240
@@ -80,12 +83,7 @@ def test_sigkill_then_resume_is_byte_identical(runner, tmp_path):
             if proc.poll() is not None:
                 pytest.fail("campaign finished before SIGKILL landed; "
                             "grow the fleet scale in conftest.RUNNER")
-            try:
-                with open(ledger, "rb") as handle:
-                    committed = handle.read().count(b'"k":"batch"')
-            except FileNotFoundError:
-                committed = 0
-            if committed >= 2:
+            if committed_batches(ckpt) >= 2:
                 break
             time.sleep(0.02)
         proc.send_signal(signal.SIGKILL)
@@ -98,14 +96,11 @@ def test_sigkill_then_resume_is_byte_identical(runner, tmp_path):
 
     runner("none", 0, ckpt, "auto", resumed_out, check=0)
     manifest = read_manifest(ckpt)
-    # At least one batch replays; the kill may land between a ledger
-    # append and its state-blob commit, in which case reconcile rolls
-    # that batch back — so this can be one less than the ledger held.
-    assert manifest["runs"][-1]["units"][0]["batches_replayed"] >= 1
+    # The kill leaves the .state of the last finished commit, which
+    # holds every batch seen before the kill.
+    assert manifest["runs"][-1]["units"][0]["batches_replayed"] >= 2
 
-    runner("none", 0, "-", "never", baseline_out, check=0)
-    with open(resumed_out, "rb") as a, open(baseline_out, "rb") as b:
-        assert a.read() == b.read()
+    assert read_bytes(resumed_out) == runner.baseline("none")
 
 
 class TestParallelResume:
@@ -140,7 +135,7 @@ class TestParallelResume:
         ckpt = str(tmp_path / "ckpt")
         # Shard 0's worker dies after committing one batch; the
         # executor retries it in a fresh pool and the retry resumes
-        # from the shard's ledger rather than remeasuring.
+        # from the shard's .state rather than remeasuring.
         result = self._run(tmp_path, crash=True, checkpoint_dir=ckpt)
         baseline = self._run(tmp_path, crash=False)
 

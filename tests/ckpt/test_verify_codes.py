@@ -1,10 +1,10 @@
-"""``repro ckpt verify`` exit codes: clean/stale/torn/corrupt.
+"""``repro ckpt verify`` exit codes: clean/stale.
 
-The documented contract (docs/checkpointing.md): 0 = every ledger
-checksums clean, 1 = structural staleness, 2 = crash-torn tail (safe
-to resume), 3 = mid-file corruption (quarantine, never resume).  The
-service supervisor and CI scripts branch on these codes, so they are
-pinned here end to end through the CLI.
+The documented contract (docs/checkpointing.md): 0 = every file reads
+back clean, 1 = stale (a missing or unreadable manifest, an older
+format, or a sealed file that fails its seal).  The service
+supervisor and CI scripts branch on these codes, so they are pinned
+here end to end through the CLI.
 """
 
 import os
@@ -12,14 +12,8 @@ import shutil
 
 import pytest
 
-from repro.ckpt import (
-    VERIFY_CLEAN,
-    VERIFY_CORRUPT,
-    VERIFY_STALE,
-    VERIFY_TORN,
-    verify_checkpoint_dir,
-)
-from repro.ckpt.ledger import LedgerWriter
+from repro.ckpt import VERIFY_CLEAN, VERIFY_STALE, verify_checkpoint_dir
+from repro.ckpt.checkpoint import store_unit_result
 from repro.cli import main
 from repro.core.config import ReproConfig
 from repro.parallel.executor import run_parallel_campaign
@@ -49,15 +43,6 @@ def checkpoint(clean_checkpoint, tmp_path):
     return copy
 
 
-def first_ledger(directory):
-    names = sorted(
-        name for name in os.listdir(directory)
-        if name.endswith(".ledger")
-    )
-    assert names
-    return os.path.join(directory, names[0])
-
-
 def test_clean_checkpoint_exits_zero(checkpoint):
     assert main(["ckpt", "verify", checkpoint]) == VERIFY_CLEAN
     health = verify_checkpoint_dir(checkpoint)
@@ -66,48 +51,28 @@ def test_clean_checkpoint_exits_zero(checkpoint):
     assert not health.problems
 
 
-def test_torn_tail_exits_two_and_is_resumable(checkpoint):
-    with open(first_ledger(checkpoint), "ab") as handle:
-        handle.write(b'{"k":"batch","n":9')  # crash mid-append
-    assert main(["ckpt", "verify", checkpoint]) == VERIFY_TORN
-    health = verify_checkpoint_dir(checkpoint)
-    assert health.status == "torn"
-    assert health.resumable, "torn tails must stay resumable"
-
-
-def test_mid_file_corruption_exits_three(checkpoint):
-    ledger = first_ledger(checkpoint)
-    with open(ledger, "r+b") as handle:
-        handle.seek(os.path.getsize(ledger) // 2)
-        handle.write(b"\xff")
-    assert main(["ckpt", "verify", checkpoint]) == VERIFY_CORRUPT
-    health = verify_checkpoint_dir(checkpoint)
-    assert health.status == "corrupt"
-    assert not health.resumable, "corruption must never auto-resume"
-
-
 def test_foreign_fingerprint_exits_one(checkpoint):
-    with LedgerWriter(
-        os.path.join(checkpoint, "zz-foreign.ledger")
-    ) as writer:
-        writer.append("header", {"fingerprint": "0" * 32})
-        writer.append("batch", {"index": 0})
+    store_unit_result(
+        os.path.join(checkpoint, "zz-foreign.result"), "0" * 32, b"x"
+    )
     assert main(["ckpt", "verify", checkpoint]) == VERIFY_STALE
     health = verify_checkpoint_dir(checkpoint)
     assert health.status == "stale"
     assert not health.resumable
 
 
-def test_worst_finding_wins(checkpoint):
-    # Stale + corrupt in one directory: the exit code reports the
-    # most severe classification.
-    with LedgerWriter(
-        os.path.join(checkpoint, "zz-foreign.ledger")
-    ) as writer:
-        writer.append("header", {"fingerprint": "0" * 32})
-        writer.append("batch", {"index": 0})
-    ledger = first_ledger(checkpoint)
-    with open(ledger, "r+b") as handle:
-        handle.seek(os.path.getsize(ledger) // 2)
-        handle.write(b"\xff")
-    assert main(["ckpt", "verify", checkpoint]) == VERIFY_CORRUPT
+def test_unreadable_manifest_exits_one(checkpoint, capsys):
+    # Manifests are written atomically: a cut one is damage at rest.
+    path = os.path.join(checkpoint, "checkpoint.json")
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) // 2)
+    assert main(["ckpt", "verify", checkpoint]) == VERIFY_STALE
+    assert "PROBLEM: unreadable checkpoint manifest" in (
+        capsys.readouterr().out)
+    assert not verify_checkpoint_dir(checkpoint).resumable
+
+
+def test_missing_directory_exits_one(tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    assert main(["ckpt", "verify", missing]) == VERIFY_STALE
+    assert "PROBLEM: no checkpoint manifest" in capsys.readouterr().out

@@ -1,13 +1,14 @@
 """Corrupt checkpoints are quarantined — moved aside, never destroyed.
 
 The acceptance drill: damage a byte mid-file in a committed epoch
-ledger, resume, and the service must (a) refuse to run, exiting
+result, resume, and the service must (a) refuse to run, exiting
 ``EXIT_QUARANTINE``, (b) preserve the damaged bytes untouched under
 ``quarantine/``, (c) journal what it did, and (d) complete normally
 once the operator restores the pristine bytes — reproducing the
 original dataset byte-for-byte.
 """
 
+import glob
 import json
 import os
 import shutil
@@ -37,6 +38,10 @@ def corrupt_mid_file(path: str) -> bytes:
     return pristine
 
 
+def first_result(checkpoint_dir: str) -> str:
+    return sorted(glob.glob(os.path.join(checkpoint_dir, "*.result")))[0]
+
+
 @pytest.fixture()
 def finished(tmp_path):
     config = tiny_config(tmp_path / "svc")
@@ -50,10 +55,10 @@ def test_corrupt_epoch_is_quarantined_then_restorable(finished):
         original_dataset = handle.read()
 
     epoch0 = service_paths.epoch_dir(directory, 0)
-    ledger = service_paths.ledger_paths(epoch0)[0]
-    ledger_name = os.path.basename(ledger)
-    pristine = corrupt_mid_file(ledger)
-    with open(ledger, "rb") as handle:
+    result = first_result(epoch0)
+    result_name = os.path.basename(result)
+    pristine = corrupt_mid_file(result)
+    with open(result, "rb") as handle:
         damaged = handle.read()
     assert damaged != pristine
 
@@ -77,7 +82,7 @@ def test_corrupt_epoch_is_quarantined_then_restorable(finished):
 
     # The damaged bytes are preserved exactly — quarantine never
     # rewrites or "repairs" evidence — alongside an operator note.
-    with open(os.path.join(destination, ledger_name), "rb") as handle:
+    with open(os.path.join(destination, result_name), "rb") as handle:
         assert handle.read() == damaged
     assert os.path.exists(
         os.path.join(destination, "QUARANTINE.txt")
@@ -92,7 +97,7 @@ def test_corrupt_epoch_is_quarantined_then_restorable(finished):
     # the operator restores the pristine bytes instead.
     shutil.copytree(destination, epoch0)
     os.remove(os.path.join(epoch0, "QUARANTINE.txt"))
-    with open(os.path.join(epoch0, ledger_name), "wb") as handle:
+    with open(os.path.join(epoch0, result_name), "wb") as handle:
         handle.write(pristine)
 
     assert ServiceSupervisor(finished).run(fresh=False) == EXIT_OK
@@ -109,7 +114,7 @@ def test_resume_after_quarantine_remeasures_from_scratch(finished):
         original_dataset = handle.read()
 
     epoch0 = service_paths.epoch_dir(directory, 0)
-    corrupt_mid_file(service_paths.ledger_paths(epoch0)[0])
+    corrupt_mid_file(first_result(epoch0))
     assert ServiceSupervisor(finished).run(fresh=False) == (
         EXIT_QUARANTINE
     )
@@ -118,3 +123,28 @@ def test_resume_after_quarantine_remeasures_from_scratch(finished):
     assert ServiceSupervisor(finished).run(fresh=False) == EXIT_OK
     with open(service_paths.dataset_path(directory), "rb") as handle:
         assert handle.read() == original_dataset
+
+
+def test_unreadable_manifest_is_quarantined(finished):
+    # Manifests are written atomically, so a cut one is damage at rest.
+    epoch1 = service_paths.epoch_dir(finished.directory, 1)
+    manifest = service_paths.checkpoint_manifest_path(epoch1)
+    with open(manifest, "r+b") as handle:
+        handle.truncate(os.path.getsize(manifest) // 2)
+
+    assert ServiceSupervisor(finished).run(fresh=False) == (
+        EXIT_QUARANTINE
+    )
+    assert not os.path.exists(epoch1)
+    journal = ServiceJournal(
+        service_paths.journal_path(finished.directory),
+        finished.fingerprint(),
+    )
+    with journal:
+        records = journal.events("quarantine")
+    assert [record["epoch"] for record in records] == [1]
+    assert "unreadable checkpoint manifest" in records[0]["reason"]
+    with open(
+        service_paths.service_manifest_path(finished.directory)
+    ) as handle:
+        assert json.load(handle)["status"] == "quarantined"

@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.ckpt.checkpoint import committed_batches
 from repro.core.client import MeasurementClient
 from repro.service import (
     EXIT_INTERRUPTED,
@@ -50,17 +51,6 @@ def canonical_digest(directory: str) -> str:
     return hashlib.blake2b(
         canonical.encode("utf-8"), digest_size=16
     ).hexdigest()
-
-
-def committed_batches(checkpoint_dir: str) -> int:
-    total = 0
-    for path in service_paths.ledger_paths(checkpoint_dir):
-        try:
-            with open(path, "rb") as handle:
-                total += handle.read().count(b'"k":"batch"')
-        except OSError:
-            pass
-    return total
 
 
 def open_journal(config) -> ServiceJournal:

@@ -186,6 +186,15 @@ class TestCli:
                 "--fault-preset", "meteor-strike",
             ])
 
+    def test_checkpoint_dir_needs_shards(self, tmp_path, capsys):
+        directory = tmp_path / "ckpt"
+        assert main([
+            "campaign", "--scale", "0.003", "--workers", "1",
+            "--checkpoint-dir", str(directory),
+        ]) == 2
+        assert "--shards" in capsys.readouterr().err
+        assert not directory.exists()
+
     def test_analyze_table4_needs_enough_data(self, tmp_path, capsys,
                                               dataset):
         path = str(tmp_path / "full.json")

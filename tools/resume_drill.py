@@ -5,10 +5,11 @@ run in CI on every push (the ``resume`` job):
 
 1. run the campaign uninterrupted (no checkpoint) -> ``baseline.json``,
 2. start the same campaign sharded and checkpointed in a subprocess,
-   wait until its ledgers hold committed batches, then SIGKILL the
-   whole process group mid-measurement,
-3. verify the killed checkpoint classifies as *resumable* (clean or
-   torn tail) — a clean kill must never take the quarantine path,
+   wait until its ``.state`` files hold committed batches, then
+   SIGKILL the whole process group mid-measurement,
+3. verify the killed checkpoint classifies as clean — a kill leaves
+   each unit's old file or its new one, never a damaged one, so it
+   must never take the quarantine path,
 4. resume from the checkpoint directory with ``--resume auto``,
 5. fail (exit 1) unless the resumed dataset is **byte-identical** to
    the baseline.
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import time
 
+from repro.ckpt.checkpoint import committed_batches
 from repro.ckpt.quarantine import verify_checkpoint_dir
 from repro.core.config import ReproConfig
 from repro.parallel import run_parallel_campaign
@@ -48,18 +50,6 @@ def run_campaign(args, checkpoint_dir=None, resume="never"):
         checkpoint_dir=checkpoint_dir,
         resume=resume,
     )
-
-
-def committed_batches(checkpoint_dir: str) -> int:
-    """Batch records fsync'd across every shard ledger so far."""
-    total = 0
-    for path in service_paths.ledger_paths(checkpoint_dir):
-        try:
-            with open(path, "rb") as handle:
-                total += handle.read().count(b'"k":"batch"')
-        except OSError:
-            pass
-    return total
 
 
 def kill_midway(args, checkpoint_dir: str) -> str:
@@ -127,12 +117,12 @@ def main() -> int:
     print("drill: checkpointed run, SIGKILL after {} committed "
           "batch(es)".format(args.kill_after), flush=True)
     fate = kill_midway(args, checkpoint_dir)
-    print("  child {} with {} batch(es) in the ledgers".format(
+    print("  child {} with {} batch(es) in the .state files".format(
         fate, committed_batches(checkpoint_dir)), flush=True)
 
-    # A clean SIGKILL leaves at worst a torn tail — never mid-file
-    # corruption.  If this checkpoint classifies as quarantine-worthy,
-    # the ledger commit protocol is broken and resuming would hide it.
+    # A SIGKILL leaves each unit's old file or its new one.  If this
+    # checkpoint classifies as quarantine-worthy, the commit protocol
+    # is broken and resuming would hide it.
     health = verify_checkpoint_dir(checkpoint_dir)
     print("  checkpoint health after kill: {}".format(health.status),
           flush=True)

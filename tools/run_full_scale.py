@@ -4,10 +4,11 @@ Writes the dataset and a summary report under results/full_scale/.
 
 Run:  python tools/run_full_scale.py [--seed N] [--workers N] [--shards K]
 
-``--workers 1`` (the default) runs the legacy serial campaign;
-anything higher uses the sharded parallel executor, whose merged
-dataset is byte-identical for any worker count at a fixed shard count
-(see docs/performance.md).
+``--workers 1`` (the default) without ``--shards`` runs the legacy
+serial campaign; anything else uses the sharded parallel executor,
+whose merged dataset is byte-identical for any worker count at a fixed
+shard count (see docs/performance.md).  ``--checkpoint-dir`` needs
+``--shards``.
 """
 
 import argparse
@@ -54,15 +55,19 @@ def _parse_args() -> argparse.Namespace:
                              "dataset.traces.json and a phase breakdown "
                              "(see docs/observability.md)")
     parser.add_argument("--checkpoint-dir", default=None,
-                        help="journal batches here so a preempted "
-                             "full-scale run resumes byte-identically "
-                             "(see docs/checkpointing.md)")
+                        help="commit batches here so a preempted "
+                             "full-scale run resumes byte-identically; "
+                             "needs --shards (see docs/checkpointing.md)")
     parser.add_argument("--resume", nargs="?", const="auto",
                         choices=("never", "auto", "force"),
                         default="never",
                         help="resume an interrupted checkpoint (bare "
                              "--resume = auto; force discards it)")
-    return parser.parse_args()
+    args = parser.parse_args()
+    if args.checkpoint_dir and args.workers == 1 and args.shards is None:
+        parser.error("--checkpoint-dir needs --shards (--shards 1 keeps "
+                     "the run in one process)")
+    return args
 
 
 def main() -> None:
@@ -122,31 +127,7 @@ def main() -> None:
         obs = Observability() if args.observe else None
         campaign = Campaign(world, atlas_probes_per_country=25,
                             atlas_repetitions=5, obs=obs)
-        if args.checkpoint_dir:
-            checkpoint = CampaignCheckpoint.open(
-                args.checkpoint_dir, config,
-                execution={"mode": "serial",
-                           "atlas_probes_per_country": 25,
-                           "atlas_repetitions": 5,
-                           "observe": bool(args.observe)},
-                resume=args.resume)
-            measure = checkpoint.measure_checkpoint("serial")
-            try:
-                result = campaign.run(progress=progress,
-                                      checkpoint=measure)
-            finally:
-                measure.close()
-            num_batches = -(-len(world.nodes()) // max(1, config.batch_size))
-            checkpoint.record_run({"workers": 1, "units": [{
-                "role": "serial",
-                "batches_replayed": measure.resumed_batches,
-                "batches_measured": num_batches - measure.resumed_batches,
-            }]})
-            checkpoint.mark_complete()
-            emit("checkpoint: replayed {} of {} batches from {}".format(
-                measure.resumed_batches, num_batches, args.checkpoint_dir))
-        else:
-            result = campaign.run(progress=progress)
+        result = campaign.run(progress=progress)
     dataset = result.dataset
     emit("campaign in {:.0f}s".format(time.time() - campaign_started))
     emit(dataset.summary())

@@ -24,6 +24,7 @@ import subprocess
 import sys
 import time
 
+from repro.ckpt.checkpoint import committed_batches
 from repro.service import paths as service_paths
 
 
@@ -40,17 +41,6 @@ def service_cmd(args, directory, command, workers):
         ]
     cmd += ["--workers", str(workers)]
     return cmd
-
-
-def committed_batches(checkpoint_dir):
-    total = 0
-    for path in service_paths.ledger_paths(checkpoint_dir):
-        try:
-            with open(path, "rb") as handle:
-                total += handle.read().count(b'"k":"batch"')
-        except OSError:
-            pass
-    return total
 
 
 def kill_mid_epoch(args, directory, workers, kill_epoch=1):
