@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.ckpt.fingerprint import FORMAT_VERSION, campaign_fingerprint
-from repro.ckpt.ledger import CheckpointCorruptionError
+from repro.ckpt.ledger import CheckpointCorruptionError, CheckpointError
 from repro.ckpt.worldstate import (
     _rng_state,
     capture_world_state,
@@ -72,10 +72,6 @@ SEAL_MAGIC = b"RSEAL"
 _SEAL_DIGEST = 16
 #: Format version, fingerprint length, file-name length.
 _SEAL_HEAD = struct.Struct("<HHH")
-
-
-class CheckpointError(Exception):
-    """Base class for checkpoint/resume failures."""
 
 
 class CheckpointMismatchError(CheckpointError):
@@ -360,7 +356,7 @@ def committed_batches(directory: str) -> int:
     exists."""
     try:
         fingerprint = CampaignCheckpoint.load(directory).fingerprint
-    except (CheckpointError, CheckpointCorruptionError):
+    except CheckpointError:
         return 0
     total = 0
     for name in sorted(os.listdir(directory)):

@@ -31,10 +31,25 @@ import os
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-__all__ = ["LedgerReader", "LedgerRecord", "LedgerWriter", "read_ledger"]
+__all__ = [
+    "CheckpointCorruptionError",
+    "CheckpointError",
+    "LedgerReader",
+    "LedgerRecord",
+    "LedgerWriter",
+    "read_ledger",
+]
 
 
-class CheckpointCorruptionError(Exception):
+class CheckpointError(Exception):
+    """Base class for checkpoint/resume failures.
+
+    The package's exceptions start here, in the module that imports no
+    other, so every checkpoint module can raise them without a cycle.
+    """
+
+
+class CheckpointCorruptionError(CheckpointError):
     """A ledger failed checksum or structural verification, or a
     checkpoint's manifest or ``config.pkl`` does not read back."""
 

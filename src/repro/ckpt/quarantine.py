@@ -33,7 +33,6 @@ from repro.ckpt.checkpoint import (
     load_unit_state,
 )
 from repro.ckpt.fingerprint import FORMAT_VERSION
-from repro.ckpt.ledger import CheckpointCorruptionError
 
 __all__ = [
     "CheckpointHealth",
@@ -91,7 +90,7 @@ def verify_checkpoint_dir(directory: str) -> CheckpointHealth:
     health = CheckpointHealth(directory=directory)
     try:
         checkpoint = CampaignCheckpoint.load(directory)
-    except (CheckpointError, CheckpointCorruptionError) as exc:
+    except CheckpointError as exc:
         health.problems.append(str(exc))
         return health
     written = checkpoint.manifest.get("format")

@@ -578,13 +578,22 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_ckpt(args) -> int:
+    from repro.ckpt import CheckpointError
+
     handlers = {
         "status": _ckpt_status,
         "verify": _ckpt_verify,
         "gc": _ckpt_gc,
         "extend": _ckpt_extend,
     }
-    return handlers[args.ckpt_command](args)
+    try:
+        return handlers[args.ckpt_command](args)
+    except CheckpointError as exc:
+        # A missing, damaged or mismatched checkpoint is named, never
+        # shown as a traceback.
+        print("repro ckpt {}: error: {}".format(args.ckpt_command, exc),
+              file=sys.stderr)
+        return 1
 
 
 def _ckpt_status(args) -> int:

@@ -53,8 +53,6 @@ class HttpServer:
         #: incoming connection before the (TLS) handshake — what a dead
         #: or overloaded front end looks like from outside.
         self.refuse = refuse
-        self.requests_served = 0
-        self.connections_refused = 0
         self._listener = None
 
     def start(self) -> None:
@@ -73,7 +71,6 @@ class HttpServer:
 
     def _on_connection(self, conn: TcpConnection):
         if self.refuse is not None and self.refuse():
-            self.connections_refused += 1
             conn.close()
             return
         stream = conn
@@ -110,7 +107,6 @@ class HttpServer:
                 response = HttpResponse(status=Status.BAD_GATEWAY)
             if not isinstance(response, HttpResponse):
                 response = HttpResponse(status=Status.BAD_GATEWAY)
-            self.requests_served += 1
             try:
                 stream.send(response, response.wire_size())
             except ConnectionClosed:

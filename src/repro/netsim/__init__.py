@@ -9,7 +9,7 @@ UDP/TCP socket APIs (:mod:`repro.netsim.host`,
 between them (:mod:`repro.netsim.network`).
 """
 
-from repro.netsim.engine import Event, Process, Simulator, Timeout, first_of
+from repro.netsim.engine import Event, Process, Simulator, Timeout
 from repro.netsim.host import Host, SiteProfile
 from repro.netsim.latency import LatencyModel, LatencyParams
 from repro.netsim.network import Network
@@ -36,5 +36,4 @@ __all__ = [
     "TcpListener",
     "Timeout",
     "UdpSocket",
-    "first_of",
 ]

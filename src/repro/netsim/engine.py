@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -32,7 +32,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "first_of",
 ]
 
 #: Upper bound on recycled Timeout objects kept per simulator.
@@ -68,19 +67,6 @@ class Event:
             callback(self)
         else:
             self._callbacks.append(callback)
-
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Unregister *callback* if still pending (no-op otherwise).
-
-        Combinators such as :func:`first_of` detach their relays from
-        the losing events once an outcome is decided; without this,
-        long-lived events (listener mailboxes, shared timers) would pin
-        every relay ever registered for the whole campaign.
-        """
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value*."""
@@ -168,11 +154,6 @@ class Process(Event):
     def _start(self) -> None:
         self._resume(None, None)
 
-    def interrupt(self, cause: str = "interrupted") -> None:
-        """Throw :class:`ProcessInterrupt` into the process."""
-        if not self.triggered:
-            self.sim.schedule(0.0, lambda: self._resume(None, ProcessInterrupt(cause)))
-
     def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
         if self.triggered:
             return
@@ -183,9 +164,6 @@ class Process(Event):
                 target = self._generator.send(value)
         except StopIteration as stop:
             self._trigger(True, stop.value, None)
-            return
-        except ProcessInterrupt as exc:
-            self.fail(exc)
             return
         except Exception as exc:
             self.fail(exc)
@@ -211,10 +189,6 @@ class Process(Event):
             self._resume(event.value, None)
         else:
             self._resume(None, event.exception)
-
-
-class ProcessInterrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called."""
 
 
 class Simulator:
@@ -391,40 +365,3 @@ class Simulator:
         if not process.ok:
             raise process.exception  # type: ignore[misc]
         return process.value
-
-
-def first_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that mirrors whichever of *events* triggers first.
-
-    Used for timeout-or-response patterns (e.g. UDP retransmission).
-    The resulting event succeeds with ``(index, value)`` of the winner,
-    or fails with the winner's exception.
-
-    Once the outcome is decided every relay registered on a losing
-    event is detached again: losers may be long-lived events, and a
-    220k-measurement campaign would otherwise accumulate dead
-    callbacks on them for its entire lifetime.
-    """
-    outcome = sim.event()
-    relays: List[Tuple[Event, Callable[[Event], None]]] = []
-
-    def finish(winner_index: int, winner: Event) -> None:
-        if outcome.triggered:
-            return
-        for event, relay in relays:
-            if event is not winner and not event.triggered:
-                event.remove_callback(relay)
-        if winner.ok:
-            outcome.succeed((winner_index, winner.value))
-        else:
-            outcome.fail(winner.exception)  # type: ignore[arg-type]
-
-    for index, event in enumerate(events):
-        relays.append(
-            (event, lambda ev, index=index: finish(index, ev))
-        )
-    for event, relay in relays:
-        event.add_callback(relay)
-        if outcome.triggered:
-            break
-    return outcome

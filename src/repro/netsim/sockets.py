@@ -10,14 +10,20 @@ TCP connections perform a real three-way handshake (SYN, SYN-ACK, then
 data riding the ACK), record the handshake duration the way the
 BrightData exit node reports it, and preserve in-order reliable
 delivery with loss converted to retransmission delay.
+
+A connection pair holds no reference cycle: each endpoint holds its
+peer's mailbox, never the peer endpoint, so reference counting frees
+the pair as soon as the processes using it finish.  A campaign opens
+tens of thousands of connections per batch and measures with the
+cyclic collector paused, so this bounds a batch's memory by its live
+connections rather than by every connection it opened.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.netsim.engine import Event
 from repro.netsim.host import Host
@@ -88,21 +94,28 @@ class _Mailbox:
     waiter events directly (skipping the ``succeed`` wrapper) and
     supports unwrapping ``(payload, nbytes)`` items at delivery time —
     sparing :meth:`TcpConnection.recv` a relay event per message.
+
+    ``closed`` means no more items will arrive (receives on an empty
+    queue fail); ``owner_closed`` is the one record of whether the TCP
+    endpoint owning the mailbox has closed, the only fact about an
+    endpoint its peer reads.  Each FIFO holds a few items at most, so
+    plain lists beat deques on memory.
     """
 
-    __slots__ = ("_host", "_queue", "_waiters", "closed")
+    __slots__ = ("_host", "_queue", "_waiters", "closed", "owner_closed")
 
     def __init__(self, host: Host) -> None:
         self._host = host
-        self._queue: Deque[Any] = deque()
+        self._queue: List[Any] = []
         #: Waiting ``(event, unwrap)`` pairs, FIFO.
-        self._waiters: Deque[Tuple[Event, bool]] = deque()
+        self._waiters: List[Tuple[Event, bool]] = []
         self.closed = False
+        self.owner_closed = False
 
     def push(self, item: Any) -> None:
         waiters = self._waiters
         while waiters:
-            waiter, unwrap = waiters.popleft()
+            waiter, unwrap = waiters.pop(0)
             if not waiter.triggered:
                 waiter._trigger(True, item[0] if unwrap else item, None)
                 return
@@ -111,7 +124,7 @@ class _Mailbox:
     def close(self, exc_factory: Callable[[], Exception]) -> None:
         self.closed = True
         while self._waiters:
-            waiter, _unwrap = self._waiters.popleft()
+            waiter, _unwrap = self._waiters.pop(0)
             if not waiter.triggered:
                 waiter.fail(exc_factory())
 
@@ -121,7 +134,7 @@ class _Mailbox:
         sim = self._host.network.sim
         event = Event(sim)
         if self._queue:
-            item = self._queue.popleft()
+            item = self._queue.pop(0)
             # Inline an immediate success: the event is brand new, so
             # there are no callbacks to run and no double-trigger risk.
             event.triggered = True
@@ -203,8 +216,7 @@ class TcpConnection:
 
     __slots__ = (
         "host", "local_port", "remote_ip", "remote_port", "channel",
-        "peer", "closed", "remote_closed", "handshake_ms",
-        "bytes_sent", "bytes_received", "_mailbox", "_outbox",
+        "handshake_ms", "bytes_sent", "_mailbox", "_peer_box", "_outbox",
     )
 
     def __init__(
@@ -220,27 +232,32 @@ class TcpConnection:
         self.remote_ip = remote_ip
         self.remote_port = remote_port
         self.channel = channel
-        self.peer: Optional["TcpConnection"] = None
-        self.closed = False
-        self.remote_closed = False
         #: Client-side measured SYN→SYN-ACK duration, ms (None on server).
         self.handshake_ms: Optional[float] = None
-        #: Total application bytes sent/received (accounting/tests).
+        #: Total application bytes sent (accounting/tests).
         self.bytes_sent = 0
-        self.bytes_received = 0
         self._mailbox = _Mailbox(host)
+        #: The peer endpoint's mailbox, linked at the handshake: data
+        #: and the FIN are delivered into it, and holding it rather than
+        #: the peer keeps the pair free of reference cycles.
+        self._peer_box: Optional[_Mailbox] = None
         #: In-flight ``(payload, nbytes)`` items, drained in FIFO order
         #: by :meth:`_deliver_next` (the fabric preserves per-channel
         #: ordering, so index bookkeeping is unnecessary).
-        self._outbox: Deque[Tuple[Any, int]] = deque()
+        self._outbox: List[Tuple[Any, int]] = []
+
+    @property
+    def closed(self) -> bool:
+        """True once this endpoint has closed."""
+        return self._mailbox.owner_closed
 
     # -- data path ---------------------------------------------------------
 
     def send(self, payload: Any, nbytes: int) -> None:
         """Queue one application message for reliable in-order delivery."""
-        if self.closed:
+        if self._mailbox.owner_closed:
             raise ConnectionClosed("send on closed connection")
-        if self.peer is None:
+        if self._peer_box is None:
             raise ConnectionClosed("connection not established")
         self.bytes_sent += nbytes
         # The bound delivery method replaces a per-send closure; the
@@ -257,11 +274,10 @@ class TcpConnection:
         )
 
     def _deliver_next(self) -> None:
-        item = self._outbox.popleft()
-        peer = self.peer
-        if not peer.closed:
-            peer.bytes_received += item[1]
-            peer._mailbox.push(item)
+        item = self._outbox.pop(0)
+        peer_box = self._peer_box
+        if not peer_box.owner_closed:
+            peer_box.push(item)
 
     def recv(self, timeout_ms: Optional[float] = None) -> Event:
         """Event yielding the next message payload.
@@ -284,18 +300,18 @@ class TcpConnection:
 
     def close(self) -> None:
         """Close this endpoint and notify the peer (FIN)."""
-        if self.closed:
+        mailbox = self._mailbox
+        if mailbox.owner_closed:
             return
-        self.closed = True
-        self._mailbox.close(_conn_closed)
-        peer = self.peer
-        if peer is None or peer.closed:
+        mailbox.owner_closed = True
+        mailbox.close(_conn_closed)
+        peer_box = self._peer_box
+        if peer_box is None or peer_box.owner_closed:
             return
 
         def deliver_fin() -> None:
-            if not peer.closed:
-                peer.remote_closed = True
-                peer._mailbox.close(_peer_closed)
+            if not peer_box.owner_closed:
+                peer_box.close(_peer_closed)
 
         self.host.network.transmit(
             self.host,
@@ -392,8 +408,8 @@ def open_tcp(host: Host, dst_ip: str, dst_port: int):
             )
             return
         server_conn = listener._accept((host.ip, local_port, channel))
-        server_conn.peer = client_conn
-        client_conn.peer = server_conn
+        server_conn._peer_box = client_conn._mailbox
+        client_conn._peer_box = server_conn._mailbox
 
         def on_syn_ack() -> None:
             if not established.triggered:

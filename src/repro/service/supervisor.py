@@ -722,7 +722,11 @@ class ServiceSupervisor:
                 previous = CampaignCheckpoint.load(
                     paths.epoch_dir(self.directory, epoch - 1)
                 ).fingerprint
-            except CheckpointError:
+            except CheckpointError as exc:
+                # Missing or damaged: the link stays empty, and the next
+                # run's check of that epoch quarantines a damaged one.
+                self._log("epoch {}: no lineage link to epoch {} "
+                          "({})".format(epoch, epoch - 1, exc))
                 previous = ""
         checkpoint = CampaignCheckpoint.load(directory)
         checkpoint.add_lineage(

@@ -4,7 +4,8 @@ The documented contract (docs/checkpointing.md): 0 = every file reads
 back clean, 1 = stale (a missing or unreadable manifest, an older
 format, or a sealed file that fails its seal).  The service
 supervisor and CI scripts branch on these codes, so they are pinned
-here end to end through the CLI.
+here end to end through the CLI, together with ``ckpt status`` and
+``ckpt gc``, which name a missing or unreadable manifest and exit 1.
 """
 
 import os
@@ -61,11 +62,15 @@ def test_foreign_fingerprint_exits_one(checkpoint):
     assert not health.resumable
 
 
-def test_unreadable_manifest_exits_one(checkpoint, capsys):
+def _cut_manifest(checkpoint):
     # Manifests are written atomically: a cut one is damage at rest.
     path = os.path.join(checkpoint, "checkpoint.json")
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) // 2)
+
+
+def test_unreadable_manifest_exits_one(checkpoint, capsys):
+    _cut_manifest(checkpoint)
     assert main(["ckpt", "verify", checkpoint]) == VERIFY_STALE
     assert "PROBLEM: unreadable checkpoint manifest" in (
         capsys.readouterr().out)
@@ -76,3 +81,19 @@ def test_missing_directory_exits_one(tmp_path, capsys):
     missing = str(tmp_path / "absent")
     assert main(["ckpt", "verify", missing]) == VERIFY_STALE
     assert "PROBLEM: no checkpoint manifest" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["status", "gc"])
+def test_unreadable_manifest_is_named(checkpoint, capsys, command):
+    _cut_manifest(checkpoint)
+    assert main(["ckpt", command, checkpoint]) == 1
+    assert "repro ckpt {}: error: unreadable checkpoint manifest".format(
+        command) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["status", "gc"])
+def test_missing_directory_is_named(tmp_path, capsys, command):
+    missing = str(tmp_path / "absent")
+    assert main(["ckpt", command, missing]) == 1
+    assert "repro ckpt {}: error: no checkpoint manifest".format(
+        command) in capsys.readouterr().err

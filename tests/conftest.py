@@ -7,6 +7,9 @@ same data.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import gc
 import random
 
 import pytest
@@ -22,6 +25,31 @@ from repro.netsim.network import Network
 from repro.proxy.population import PopulationConfig
 
 TEST_SEED = 987
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic collector for the block.
+
+    Yields a :class:`collections.Counter` that, after the block, counts
+    by type name every object the block left in a reference cycle: what
+    a collection under ``gc.DEBUG_SAVEALL`` finds, where reference
+    counting freed the rest.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    found = collections.Counter()
+    try:
+        yield found
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found.update(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.fixture()

@@ -61,8 +61,10 @@ class TestPlainHttp:
             return bodies
 
         bodies = sim.run_process(run())
-        assert len(bodies) == 3
-        assert server.requests_served == 3
+        assert bodies == [
+            "GET /r{} from 20.0.0.1".format(index).encode()
+            for index in range(3)
+        ]
 
     def test_handler_exception_becomes_502(self, sim, network, hosts):
         client_host, server_host = hosts

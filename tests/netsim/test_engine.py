@@ -8,7 +8,6 @@ from repro.netsim.engine import (
     SimulationError,
     Simulator,
     Timeout,
-    first_of,
 )
 
 
@@ -180,65 +179,3 @@ class TestProcess:
 
         assert sim.run_process(outer()) == 11
         assert sim.now == 3.0
-
-    def test_interrupt_fails_process(self, sim):
-        def proc():
-            yield sim.timeout(100.0)
-
-        process = sim.spawn(proc())
-        sim.schedule(1.0, lambda: process.interrupt("stop"))
-        sim.run()
-        assert process.triggered and not process.ok
-
-
-class TestFirstOf:
-    def test_first_winner_reported(self, sim):
-        a = sim.timeout(5.0, value="slow")
-        b = sim.timeout(2.0, value="fast")
-        race = first_of(sim, [a, b])
-        sim.run()
-        assert race.value == (1, "fast")
-
-    def test_failure_propagates(self, sim):
-        slow = sim.timeout(10.0)
-        failing = sim.event()
-        race = first_of(sim, [slow, failing])
-        sim.schedule(1.0, lambda: failing.fail(RuntimeError("x")))
-        sim.run()
-        assert race.triggered and not race.ok
-
-    def test_late_events_ignored(self, sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        race = first_of(sim, [a, b])
-        sim.run()
-        assert race.value == (0, "a")  # b's trigger did not re-fire
-
-    def test_loser_callbacks_detached(self, sim):
-        # The losing event may live on long after the race (e.g. a
-        # response event raced against a timeout); the relay must not
-        # keep the settled race outcome alive through it.
-        winner = sim.timeout(1.0, value="won")
-        loser = sim.event()  # never triggers
-        race = first_of(sim, [winner, loser])
-        sim.run()
-        assert race.value == (0, "won")
-        assert loser._callbacks == []
-
-    def test_loser_callbacks_detached_on_failure(self, sim):
-        failing = sim.event()
-        loser = sim.event()
-        race = first_of(sim, [failing, loser])
-        sim.schedule(1.0, lambda: failing.fail(RuntimeError("x")))
-        sim.run()
-        assert race.triggered and not race.ok
-        assert loser._callbacks == []
-
-    def test_already_triggered_event_skips_registration(self, sim):
-        done = sim.event()
-        done.succeed("now")
-        pending = sim.event()
-        race = first_of(sim, [done, pending])
-        sim.run()
-        assert race.value == (0, "now")
-        assert pending._callbacks == []

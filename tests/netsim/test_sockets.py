@@ -1,4 +1,5 @@
-"""Socket-layer tests: UDP, TCP handshakes, ordering, close semantics."""
+"""Socket-layer tests: UDP, TCP handshakes, ordering, close semantics,
+and connection pairs that reference counting frees."""
 
 import pytest
 
@@ -7,7 +8,11 @@ from repro.netsim.sockets import (
     ConnectionRefused,
     SocketTimeout,
 )
-from tests.conftest import datacenter_site, residential_site
+from tests.conftest import (
+    collector_paused,
+    datacenter_site,
+    residential_site,
+)
 
 
 def _noop_handler(conn):
@@ -264,3 +269,36 @@ class TestTcp:
                 yield from client.open_tcp("20.0.1.1", 80)
 
         sim.run_process(connect())
+
+
+class TestNoCycles:
+    """A finished connection pair is freed by reference counting: the
+    campaign pauses the cyclic collector for each batch, so a pair left
+    in a cycle would stay in memory until the batch ends."""
+
+    @pytest.mark.parametrize("server_closes", [True, False])
+    def test_finished_exchange_leaves_no_cycle(self, sim, network, pair,
+                                               server_closes):
+        client, server = pair
+
+        def handler(conn):
+            request = yield conn.recv()
+            conn.send(("reply", request), 100)
+            if server_closes:
+                with pytest.raises(ConnectionClosed):
+                    yield conn.recv()
+                conn.close()
+            # Otherwise the handler returns with its end still open.
+
+        server.listen_tcp(80, handler)
+
+        def run():
+            conn = yield from client.open_tcp("20.0.1.1", 80)
+            conn.send("ping", 100)
+            reply = yield conn.recv()
+            conn.close()
+            return reply
+
+        with collector_paused() as found:
+            assert sim.run_process(run()) == ("reply", "ping")
+        assert found == {}
