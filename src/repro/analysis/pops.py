@@ -11,12 +11,11 @@ paper had.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.slowdown import ClientProviderStat, client_provider_stats
 from repro.dataset.store import Dataset
 from repro.geo.coords import KM_PER_MILE, LatLon, geodesic_km
-from repro.stats.descriptive import empirical_cdf, median
+from repro.stats.descriptive import median
 
 __all__ = [
     "PopDistanceStats",
@@ -103,11 +102,6 @@ class PopDistanceStats:
     share_over_1000_miles: float    # paper: CF 26%, Google 10%
     median_distance_miles: float    # Figure 9 median
 
-    def cdf(self, dataset: Dataset, points: int = 200):
-        """The Figure-6 CDF series for this provider."""
-        values = [miles for _, miles in potential_improvements(
-            dataset, self.provider)]
-        return empirical_cdf(values, points)
 
 
 def pop_distance_stats(dataset: Dataset) -> List[PopDistanceStats]:

@@ -44,7 +44,6 @@ from repro.ckpt.quarantine import (
     VERIFY_CLEAN,
     VERIFY_STALE,
     CheckpointHealth,
-    latest_quarantine_entry,
     quarantine_checkpoint,
     verify_checkpoint_dir,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "VERIFY_STALE",
     "campaign_fingerprint",
     "extend_campaign",
-    "latest_quarantine_entry",
     "plan_extension",
     "quarantine_checkpoint",
     "verify_checkpoint_dir",

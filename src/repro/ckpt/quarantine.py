@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.ckpt.checkpoint import (
     CONFIG_NAME,
@@ -151,14 +151,3 @@ def quarantine_checkpoint(
         pass  # the move itself is the safety property; the note is aid
     return destination
 
-
-def latest_quarantine_entry(quarantine_root: str) -> Optional[str]:
-    """The most recently created entry under *quarantine_root*."""
-    try:
-        names = os.listdir(quarantine_root)
-    except FileNotFoundError:
-        return None
-    if not names:
-        return None
-    paths = [os.path.join(quarantine_root, name) for name in sorted(names)]
-    return max(paths, key=lambda p: os.path.getmtime(p))

@@ -379,6 +379,16 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    try:
+        return _render_artifact(args)
+    except ValueError as exc:
+        # The analyses raise ValueError on data they cannot analyse
+        # (for example no country with enough clients); name it.
+        print("repro analyze: error: {}".format(exc), file=sys.stderr)
+        return 1
+
+
+def _render_artifact(args) -> int:
     dataset = Dataset.load(args.dataset)
     artifact = args.artifact
     if artifact == "headlines":
@@ -620,12 +630,6 @@ def _ckpt_status(args) -> int:
                 unit.get("batches_measured"))
             for unit in units) or "(no units recorded)"))
     for entry in manifest.get("lineage", []):
-        if "service_epoch" in entry:
-            print("service epoch {}: previous={} digest={}".format(
-                entry["service_epoch"],
-                entry.get("previous_epoch_fingerprint") or "-",
-                entry.get("dataset_digest")))
-            continue
         print("extension {}: kind={} measured={} doh+{} do53+{} "
               "clients+{}".format(
                   entry.get("extension"), entry.get("kind"),
@@ -736,12 +740,21 @@ def _ckpt_extend(args) -> int:
 
 
 def _cmd_service(args) -> int:
+    from repro.service import ServiceError
+
     handlers = {
         "run": _service_run,
         "resume": _service_resume,
         "status": _service_status,
     }
-    return handlers[args.service_command](args)
+    try:
+        return handlers[args.service_command](args)
+    except ServiceError as exc:
+        # A missing, damaged or foreign service directory is named,
+        # never shown as a traceback.
+        print("repro service {}: error: {}".format(
+            args.service_command, exc), file=sys.stderr)
+        return 1
 
 
 def _service_run(args) -> int:
@@ -766,20 +779,22 @@ def _service_run(args) -> int:
     return ServiceSupervisor(config).run(fresh=True)
 
 
+def _read_service_manifest(directory):
+    """``service.json`` of *directory*; a missing one is an error."""
+    from repro.service import ServiceError
+    from repro.service.supervisor import read_service_manifest
+
+    manifest = read_service_manifest(directory)
+    if manifest is None:
+        raise ServiceError("no service manifest in {!r}; use 'repro "
+                           "service run' to start one".format(directory))
+    return manifest
+
+
 def _service_resume(args) -> int:
-    import json
-
     from repro.service import ServiceConfig, ServiceSupervisor
-    from repro.service import paths as service_paths
 
-    manifest_path = service_paths.service_manifest_path(args.dir)
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        print("no service manifest at {}; start one with "
-              "'repro service run'".format(manifest_path))
-        return 1
+    manifest = _read_service_manifest(args.dir)
     config = ServiceConfig.from_identity(
         args.dir,
         manifest["identity"],
@@ -792,20 +807,13 @@ def _service_resume(args) -> int:
 
 
 def _service_status(args) -> int:
-    import json
     import os
 
-    from repro.ckpt.ledger import CheckpointCorruptionError, read_ledger
+    from repro.service import ServiceJournal
     from repro.service import paths as service_paths
 
-    manifest_path = service_paths.service_manifest_path(args.dir)
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        print("no service manifest at {}".format(manifest_path))
-        return 1
-    identity = manifest.get("identity", {})
+    manifest = _read_service_manifest(args.dir)
+    identity = manifest["identity"]
     print("service:      {}".format(args.dir))
     print("fingerprint:  {}".format(manifest.get("fingerprint")))
     print("status:       {}".format(manifest.get("status")))
@@ -813,28 +821,18 @@ def _service_status(args) -> int:
         "{}={}".format(key, identity[key])
         for key in sorted(identity) if key != "fault_params"))
 
-    # Read-only journal inspection (never truncates or appends).
-    try:
-        load = read_ledger(service_paths.journal_path(args.dir))
-    except CheckpointCorruptionError as exc:
-        print("journal:      CORRUPT ({})".format(exc))
-        return 1
-    if load is None:
+    journal = ServiceJournal(service_paths.journal_path(args.dir),
+                             manifest.get("fingerprint"))
+    if journal.load() is None:
         print("journal:      (none yet)")
         return 0
-    done = set()
-    for record in load.records:
-        if record.kind == "epoch-done":
-            done.add(int(record.payload["epoch"]))
     epochs = int(identity.get("epochs", 0))
-    next_epoch = 0
-    while next_epoch in done:
-        next_epoch += 1
+    next_epoch = journal.next_epoch()
     print("epochs:       {}/{} done{}".format(
-        len(done), epochs,
+        len(journal.epochs_done()), epochs,
         "" if next_epoch >= epochs else
         ", next is epoch {}".format(next_epoch)))
-    for record in load.records[-6:]:
+    for record in journal.records[-6:]:
         if record.kind == "header":
             continue
         payload = {k: v for k, v in record.payload.items()

@@ -30,7 +30,7 @@ from repro.atlas.api import AtlasClient
 from repro.atlas.probes import build_probes
 from repro.core.client import MeasurementClient
 from repro.core.timeline import Do53Raw, DohRaw
-from repro.core.validation import filter_mismatched, mismatch_rate
+from repro.core.validation import filter_mismatched
 from repro.core.world import World
 from repro.dataset.builder import DatasetBuilder
 from repro.dataset.store import Dataset

@@ -12,7 +12,7 @@ from typing import Iterable, List, Tuple, TypeVar
 
 from repro.geo.geolocate import GeolocationService
 
-__all__ = ["filter_mismatched", "mismatch_rate"]
+__all__ = ["filter_mismatched"]
 
 T = TypeVar("T")
 
@@ -42,8 +42,3 @@ def filter_mismatched(
             kept.append(record)
     return kept, discarded
 
-
-def mismatch_rate(kept: List[T], discarded: List[T]) -> float:
-    """Fraction of records discarded (paper: 0.88%)."""
-    total = len(kept) + len(discarded)
-    return len(discarded) / total if total else 0.0

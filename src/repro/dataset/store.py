@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.dataset.records import ClientRecord, Do53Sample, DohSample
 from repro.ioutil import atomic_write_json
@@ -24,10 +24,6 @@ class Dataset:
     min_clients_per_country: int = 10
 
     # -- indices ---------------------------------------------------------
-
-    def client_by_id(self) -> Dict[str, ClientRecord]:
-        """Index clients by node id."""
-        return {client.node_id: client for client in self.clients}
 
     def countries(self) -> List[str]:
         """All countries with at least one client."""
@@ -57,21 +53,6 @@ class Dataset:
             and (source is None or sample.source == source)
         ]
 
-    def doh_by_country(self, provider: Optional[str] = None
-                       ) -> Dict[str, List[DohSample]]:
-        """Successful DoH samples grouped by country."""
-        grouped: Dict[str, List[DohSample]] = {}
-        for sample in self.successful_doh(provider):
-            grouped.setdefault(sample.country, []).append(sample)
-        return grouped
-
-    def do53_by_country(self) -> Dict[str, List[Do53Sample]]:
-        """Valid Do53 samples grouped by country."""
-        grouped: Dict[str, List[Do53Sample]] = {}
-        for sample in self.valid_do53():
-            grouped.setdefault(sample.country, []).append(sample)
-        return grouped
-
     def clients_per_country(self) -> Dict[str, int]:
         """Unique clients per country."""
         counts: Dict[str, int] = {}
@@ -95,11 +76,6 @@ class Dataset:
             }
             eligible = good if eligible is None else (eligible & good)
         return sorted(eligible or set())
-
-    def excluded_countries(self) -> List[str]:
-        """Countries below the per-provider client minimum."""
-        analyzed = set(self.analyzed_countries())
-        return sorted(set(self.countries()) - analyzed)
 
     # -- composition stats (Table 3) ------------------------------------------
 

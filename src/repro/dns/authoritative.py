@@ -18,7 +18,7 @@ Protocol behaviour covered:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional
 
 from repro.dns.edns import DEFAULT_UDP_PAYLOAD, attach_edns, parse_edns
 from repro.dns.message import Message, Rcode
@@ -94,10 +94,6 @@ class AuthoritativeServer:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-
-    def add_zone(self, zone: Zone) -> None:
-        """Serve an additional zone."""
-        self.zones.append(zone)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -233,9 +229,3 @@ class AuthoritativeServer:
         rcode = Rcode.NXDOMAIN if result.nxdomain else Rcode.NOERROR
         authority = (result.soa,) if result.soa is not None else ()
         return query.respond(rcode, authority=authority, aa=True)
-
-    # -- statistics -----------------------------------------------------
-
-    def unique_client_ips(self) -> Set[str]:
-        """Distinct source addresses seen (recursive resolvers)."""
-        return {entry.src_ip for entry in self.query_log}

@@ -37,17 +37,9 @@ class PopAssignment:
     nearest_distance_km: float
 
     @property
-    def is_nearest(self) -> bool:
-        return self.pop_index == self.nearest_index
-
-    @property
     def potential_improvement_km(self) -> float:
         """Paper's Figure-6 metric: used distance minus nearest distance."""
         return max(0.0, self.distance_km - self.nearest_distance_km)
-
-    @property
-    def potential_improvement_miles(self) -> float:
-        return self.potential_improvement_km / KM_PER_MILE
 
     @property
     def distance_miles(self) -> float:

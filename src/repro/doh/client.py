@@ -14,9 +14,8 @@ Two entry points:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.dns.message import Message
 from repro.dns.name import DomainName
@@ -118,10 +117,6 @@ class DirectDohTiming:
         """First-query DoH time (the paper's t_DoH)."""
         return self.dns_ms + self.tcp_ms + self.tls_ms + self.query_ms
 
-    @property
-    def reuse_floor_ms(self) -> float:
-        """Connection-reuse time implied by this handshake (t_DoHR)."""
-        return self.query_ms
 
 
 def resolve_direct(

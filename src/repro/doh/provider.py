@@ -20,10 +20,10 @@ anycast assignment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dns.message import Message, Rcode
+from repro.dns.message import Rcode
 from repro.dns.records import ResourceRecord
 from repro.dns.recursive import RecursiveResolver, ResolutionError
 from repro.doh.anycast import AnycastPolicy, PopAssignment
@@ -34,7 +34,6 @@ from repro.doh.wire import (
     encode_response,
 )
 from repro.geo.cities import CITIES, City
-from repro.geo.coords import LatLon
 from repro.geo.countries import COUNTRIES
 from repro.http.message import HttpRequest, HttpResponse, Status
 from repro.http.server import ConnInfo, HttpServer
@@ -363,10 +362,6 @@ class DohProvider:
     def total_queries(self) -> int:
         """Queries served across every PoP."""
         return sum(pop.queries_served for pop in self.pops)
-
-    def pop_locations(self) -> List[LatLon]:
-        """The deployed PoP coordinates."""
-        return [pop.city.location for pop in self.pops]
 
 
 def build_provider(

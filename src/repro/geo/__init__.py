@@ -11,7 +11,7 @@ Provides the data the paper pulled from external services:
 * a Maxmind-like /24 geolocation service — :mod:`repro.geo.geolocate`.
 """
 
-from repro.geo.coords import LatLon, geodesic_km, geodesic_miles
+from repro.geo.coords import LatLon, geodesic_km
 from repro.geo.countries import (
     COUNTRIES,
     Country,
@@ -37,6 +37,5 @@ __all__ = [
     "country",
     "country_codes",
     "geodesic_km",
-    "geodesic_miles",
     "super_proxy_countries",
 ]

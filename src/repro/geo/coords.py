@@ -19,8 +19,6 @@ __all__ = [
     "LatLon",
     "geodesic_cache_info",
     "geodesic_km",
-    "geodesic_miles",
-    "haversine_km",
 ]
 
 EARTH_RADIUS_KM = 6371.0088
@@ -46,14 +44,6 @@ class LatLon:
     def __hash__(self) -> int:
         return self._hash
 
-    def distance_km(self, other: "LatLon") -> float:
-        """Great-circle distance to *other* in kilometres."""
-        return geodesic_km(self, other)
-
-    def distance_miles(self, other: "LatLon") -> float:
-        """Great-circle distance to *other* in statute miles."""
-        return geodesic_miles(self, other)
-
 
 #: Cache size for memoized pair distances.  The simulator asks for the
 #: same (site, site) pairs over and over — every transmission between a
@@ -63,13 +53,12 @@ class LatLon:
 _GEODESIC_CACHE_SIZE = 1 << 17
 
 
-def haversine_km(a: LatLon, b: LatLon) -> float:
-    """Uncached haversine distance between *a* and *b* in km.
+@lru_cache(maxsize=_GEODESIC_CACHE_SIZE)
+def geodesic_km(a: LatLon, b: LatLon) -> float:
+    """Haversine great-circle distance between *a* and *b* in km.
 
-    Use this directly for bulk sweeps over pairs that are known to be
-    unique (e.g. ranking a provider's whole PoP list against one
-    client) — going through :func:`geodesic_km` there would pay the
-    memo's hashing without ever hitting.
+    Memoized on the (hashable, frozen) coordinate pair: the trig is
+    ~10 libm calls and sits on the per-message latency hot path.
     """
     lat1 = math.radians(a.lat)
     lat2 = math.radians(b.lat)
@@ -82,32 +71,6 @@ def haversine_km(a: LatLon, b: LatLon) -> float:
     # Clamp for floating error on antipodal points.
     h = min(1.0, max(0.0, h))
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
-
-
-@lru_cache(maxsize=_GEODESIC_CACHE_SIZE)
-def geodesic_km(a: LatLon, b: LatLon) -> float:
-    """Haversine great-circle distance between *a* and *b* in km.
-
-    Memoized on the (hashable, frozen) coordinate pair: the trig is
-    ~10 libm calls and sits on the per-message latency hot path.  The
-    math mirrors :func:`haversine_km` inline — cache misses are the
-    bulk of the PoP-ranking sweep, so they skip the extra call.
-    """
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = lat2 - lat1
-    dlon = math.radians(b.lon - a.lon)
-    h = (
-        math.sin(dlat / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    )
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
-
-
-def geodesic_miles(a: LatLon, b: LatLon) -> float:
-    """Haversine great-circle distance between *a* and *b* in miles."""
-    return geodesic_km(a, b) / KM_PER_MILE
 
 
 def geodesic_cache_info():

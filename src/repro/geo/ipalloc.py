@@ -13,7 +13,7 @@ globally routable, only on /24 → country being well defined.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["IpAllocator", "prefix_of", "parse_ipv4", "format_ipv4"]
 
@@ -125,7 +125,3 @@ class IpAllocator:
             (format_ipv4(network) + "/24", code)
             for network, code in sorted(self._owner_by_subnet.items())
         ]
-
-    def iter_country_codes(self) -> Iterator[str]:
-        """Countries that have at least one allocation, in first-use order."""
-        return iter(self._country_index)

@@ -46,9 +46,9 @@ class Event:
     """A one-shot occurrence that processes can wait on.
 
     An event starts *pending*; it is later either :meth:`succeed`-ed
-    with a value or :meth:`fail`-ed with an exception.  Callbacks added
-    with :meth:`add_callback` run, in insertion order, when the event
-    triggers.  Waiting processes are resumed through such callbacks.
+    with a value or :meth:`fail`-ed with an exception.  Callbacks in
+    ``_callbacks`` run, in insertion order, when the event triggers;
+    a process that yields a pending event waits as one of them.
     """
 
     __slots__ = ("sim", "_callbacks", "triggered", "ok", "value", "exception")
@@ -60,13 +60,6 @@ class Event:
         self.ok = False
         self.value: Any = None
         self.exception: Optional[BaseException] = None
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register *callback*; runs immediately if already triggered."""
-        if self.triggered:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value*."""
@@ -177,8 +170,8 @@ class Process(Event):
                 )
             )
             return
-        # Inline add_callback: this runs once per yield, i.e. once per
-        # kernel resumption — the single most frequent call site.
+        # Wait on the target: this runs once per yield, i.e. once per
+        # kernel resumption; an already-triggered target resumes now.
         if target.triggered:
             self._on_event(target)
         else:
@@ -221,23 +214,13 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        owner: Optional[Event] = None,
-    ) -> None:
-        """Run *callback* after *delay* milliseconds of simulated time.
-
-        *owner* marks the callback's Timeout for recycling once it has
-        fired and nothing else references it; external callers never
-        need to pass it.
-        """
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run *callback* after *delay* milliseconds of simulated time."""
         if delay < 0:
             raise SimulationError("cannot schedule in the past ({})".format(delay))
         self._seq += 1
         self.events_scheduled += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, owner))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, None))
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -270,33 +253,15 @@ class Simulator:
 
     # -- execution -----------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next scheduled callback. Returns False when idle."""
-        if not self._heap:
-            return False
-        time, _seq, callback, owner = heapq.heappop(self._heap)
-        if time < self.now:
-            raise SimulationError("event queue corrupted: time moved backwards")
-        self.now = time
-        self.events_executed += 1
-        callback()
-        if (
-            owner is not None
-            and len(self._timeout_free) < _FREELIST_MAX
-            and getrefcount(owner) == 3
-        ):
-            self._timeout_free.append(owner)
-        return True
+    def run(self) -> None:
+        """Run until the event queue drains.
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the event queue drains or *until* is reached.
-
-        This is the kernel's hot loop: :meth:`step` is inlined with the
-        heap, ``heappop`` and the free list bound to locals.  Fired
-        timeouts are recycled only when the refcount proves the kernel
-        holds the last references (callback + loop local + getrefcount
-        argument = 3), so user code that keeps a Timeout sees exactly
-        the semantics of a freshly allocated one.
+        This is the kernel's hot loop, with the heap, ``heappop`` and
+        the free list bound to locals.  Fired timeouts are recycled only
+        when the refcount proves the kernel holds the last references
+        (callback + loop local + getrefcount argument = 3), so user code
+        that keeps a Timeout sees exactly the semantics of a freshly
+        allocated one.
         """
         if self._running:
             raise SimulationError("run() is not re-entrant")
@@ -306,29 +271,7 @@ class Simulator:
         free = self._timeout_free
         executed = 0
         try:
-            if until is None:
-                # Run-to-drain (the campaign's case): no deadline check
-                # on the quarter-million-iteration loop.
-                while heap:
-                    time, _seq, callback, owner = heappop(heap)
-                    if time < self.now:
-                        raise SimulationError(
-                            "event queue corrupted: time moved backwards"
-                        )
-                    self.now = time
-                    executed += 1
-                    callback()
-                    if (
-                        owner is not None
-                        and len(free) < _FREELIST_MAX
-                        and getrefcount(owner) == 3
-                    ):
-                        free.append(owner)
-                return
             while heap:
-                if heap[0][0] > until:
-                    self.now = until
-                    return
                 time, _seq, callback, owner = heappop(heap)
                 if time < self.now:
                     raise SimulationError(
@@ -343,8 +286,6 @@ class Simulator:
                     and getrefcount(owner) == 3
                 ):
                     free.append(owner)
-            if until > self.now:
-                self.now = until
         finally:
             self.events_executed += executed
             self._running = False

@@ -22,6 +22,9 @@ decomposes the same way real Internet paths do:
   surcharge (satellite/submarine-cable detours for low-infrastructure
   countries).
 
+This module holds the components and a memo of each pair's
+per-message constants; :meth:`repro.netsim.network.Network.transmit`
+draws the jitter terms and adds them up once per transmission.
 Message loss is sampled per transmission; the transport layer decides
 what a loss costs (UDP retry timers, TCP retransmission timeouts).
 """
@@ -60,10 +63,11 @@ class LatencyParams:
 
 
 class LatencyModel:
-    """Samples one-way delays between two sites.
+    """The delay components between two sites, memoized per pair.
 
-    The model is purely functional over ``(src, dst, nbytes, rng)`` so a
-    seeded :class:`random.Random` gives fully reproducible runs.
+    Every value is a pure function of the two site profiles; the jitter
+    draws come from the network's seeded :class:`random.Random`, so a
+    seed gives fully reproducible runs.
     """
 
     #: Entries kept in the per-pair base-delay memo before it is reset.
@@ -100,18 +104,6 @@ class LatencyModel:
             raise ValueError("site bandwidth must be positive")
         bits = nbytes * 8.0
         return bits / (site.bandwidth_mbps * 1000.0)
-
-    def _access_ms(self, site: "SiteProfile", rng: random.Random) -> float:
-        if site.datacenter:
-            return site.last_mile_ms
-        factor = rng.lognormvariate(0.0, self.params.access_sigma)
-        return site.last_mile_ms * factor
-
-    def _queueing_ms(self, src: "SiteProfile", dst: "SiteProfile",
-                     rng: random.Random) -> float:
-        scale = max(src.jitter_scale, dst.jitter_scale)
-        mu = math.log(self.params.queueing_median_ms * max(scale, 1e-6))
-        return rng.lognormvariate(mu, self.params.queueing_sigma)
 
     def _transit_extra_ms(self, src: "SiteProfile", dst: "SiteProfile") -> float:
         if src.country_code == dst.country_code:
@@ -172,45 +164,6 @@ class LatencyModel:
 
     # -- sampling ---------------------------------------------------------
 
-    def one_way_ms(
-        self,
-        src: "SiteProfile",
-        dst: "SiteProfile",
-        nbytes: int,
-        rng: random.Random,
-    ) -> float:
-        """Sample a one-way delay for a message of *nbytes*.
-
-        The component methods above stay the spec; this body inlines
-        them because it runs once per simulated transmission — well
-        over a hundred thousand times per small campaign.  The RNG
-        draw order (src access, dst access, queueing) and every
-        floating-point expression match the component methods exactly,
-        so sampled delays are bit-identical to the unrolled form.
-        """
-        entry = self._base_cache.get((id(src), id(dst)))
-        if entry is not None:
-            self.base_cache_hits += 1
-        else:
-            entry = self._pair_entry(src, dst)
-        params = self.params
-        (delay, mu, src_dc, src_lm, src_bits_ms,
-         dst_dc, dst_lm, dst_bits_ms, _loss, _src, _dst) = entry
-        if src_dc:
-            delay += src_lm
-        else:
-            delay += src_lm * rng.lognormvariate(0.0, params.access_sigma)
-        if dst_dc:
-            delay += dst_lm
-        else:
-            delay += dst_lm * rng.lognormvariate(0.0, params.access_sigma)
-        bits = nbytes * 8.0
-        delay += bits / src_bits_ms
-        delay += bits / dst_bits_ms
-        delay += rng.lognormvariate(mu, params.queueing_sigma)
-        min_delay = params.min_delay_ms
-        return delay if delay > min_delay else min_delay
-
     def loss(
         self, src: "SiteProfile", dst: "SiteProfile", rng: random.Random
     ) -> bool:
@@ -231,7 +184,3 @@ class LatencyModel:
             + self.serialization_ms(dst, nbytes)
         )
 
-    def _transit_extra_static(
-        self, src: "SiteProfile", dst: "SiteProfile"
-    ) -> float:
-        return 2.0 * self._transit_extra_ms(src, dst)

@@ -127,10 +127,6 @@ class Network:
 
     # -- delivery -----------------------------------------------------------
 
-    def sample_one_way_ms(self, src: Host, dst: Host, nbytes: int) -> float:
-        """Sample a one-way delay between two attached hosts."""
-        return self.latency.one_way_ms(src.site, dst.site, nbytes, self.rng)
-
     def sample_loss(self, src: Host, dst: Host) -> bool:
         """Sample whether one transmission between the hosts is lost."""
         iid = self.latency.loss(src.site, dst.site, self.rng)
@@ -160,12 +156,13 @@ class Network:
 
         Returns the scheduled arrival time, or None if dropped.
 
-        This is the fabric's per-message hot path, so the sampling
-        helpers above are inlined: delay first, then the i.i.d. loss
-        draw, then the burst chain — the exact RNG draw order of
-        :meth:`sample_one_way_ms` followed by :meth:`sample_loss`.  The
-        per-pair constants (base delay, queueing mu, access rates, loss
-        sum) come straight from the latency model's pair memo.
+        This is the fabric's per-message hot path and the one place the
+        delay formula of :mod:`repro.netsim.latency` is evaluated.  RNG
+        draw order: src access, dst access and queueing jitter, then
+        the i.i.d. loss draw, then the burst chain (as
+        :meth:`sample_loss`).  The per-pair constants (base delay,
+        queueing mu, access rates, loss sum) come straight from the
+        latency model's pair memo.
         """
         try:
             dst = self._hosts[dst_ip]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = ["DEFAULT_BOUNDS", "Histogram", "MetricsRegistry"]
 
@@ -203,35 +203,3 @@ class MetricsRegistry:
                 self._histograms[name] = incoming
             else:
                 existing.merge(incoming)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (see merge_snapshot)."""
-        self.merge_snapshot(other.snapshot())
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge_snapshot(snapshot)
-        return registry
-
-    # -- reporting --------------------------------------------------------
-
-    def describe(self, prefix: str = "") -> List[str]:
-        """Human-readable lines for counters/gauges under *prefix*."""
-        lines: List[str] = []
-        for name in sorted(self._counters):
-            if name.startswith(prefix):
-                lines.append("{} = {}".format(name, self._counters[name]))
-        for name in sorted(self._gauges):
-            if name.startswith(prefix):
-                lines.append("{} = {:.3f}".format(name, self._gauges[name]))
-        for name in sorted(self._histograms):
-            if name.startswith(prefix):
-                histogram = self._histograms[name]
-                lines.append(
-                    "{}: n={} mean={:.2f} min={} max={}".format(
-                        name, histogram.count, histogram.mean,
-                        histogram.min, histogram.max,
-                    )
-                )
-        return lines

@@ -25,7 +25,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dns.records import ResourceRecord
 from repro.dns.recursive import RecursiveResolver
@@ -34,7 +34,7 @@ from repro.geo.coords import LatLon
 from repro.geo.countries import COUNTRIES, Country, IncomeGroup
 from repro.geo.geolocate import GeolocationService
 from repro.geo.ipalloc import IpAllocator
-from repro.netsim.host import Host, SiteProfile
+from repro.netsim.host import SiteProfile
 from repro.netsim.network import Network
 from repro.proxy.exitnode import ExitNode
 from repro.proxy.network import CensorshipPolicy, ProxyNetwork
@@ -341,12 +341,6 @@ class PopulationResult:
     resolver_kind: Dict[str, str]  # node_id -> ResolverKind
     counts: Dict[str, int]
 
-    def nodes_in(self, country_code: str) -> List[ExitNode]:
-        """Nodes whose claimed country is *country_code*."""
-        code = country_code.upper()
-        return [
-            node for node in self.nodes if node.claimed_country == code
-        ]
 
 
 def _pick_mislabel(

@@ -22,23 +22,27 @@ must reproduce the recorded repr exactly (asserted in tests).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
+    LedgerLoad,
     LedgerReader,
     LedgerRecord,
     LedgerWriter,
     read_ledger,
 )
 
-__all__ = ["JournalCorruptError", "ServiceJournal"]
+__all__ = ["JournalCorruptError", "ServiceError", "ServiceJournal"]
 
 FORMAT_TAG = "service-journal-v1"
 
 
-class JournalCorruptError(Exception):
+class ServiceError(Exception):
+    """Base class for service failures."""
+
+
+class JournalCorruptError(ServiceError):
     """The crash journal is damaged mid-file (not just a torn tail)."""
 
 
@@ -53,9 +57,12 @@ class ServiceJournal:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self) -> "ServiceJournal":
-        """Load (verifying checksums), truncate any torn tail, and
-        open for appending.  Creates the journal if absent."""
+    def load(self) -> Optional[LedgerLoad]:
+        """Read and verify the journal into :attr:`records`, read-only.
+
+        Returns the raw load (None when there is no journal file), so
+        :meth:`open` can truncate a torn tail.
+        """
         try:
             load = read_ledger(self.path)
         except CheckpointCorruptionError as exc:
@@ -65,12 +72,7 @@ class ServiceJournal:
                 "from a copy (nothing was deleted) before resuming."
                 .format(self.path, exc)
             )
-        fresh = load is None or not load.records
-        if load is not None and (load.dropped_tail or not load.records):
-            LedgerReader.truncate_to(
-                self.path, load.clean_bytes if load.records else 0
-            )
-        if not fresh:
+        if load is not None and load.records:
             header = load.records[0].payload
             if header.get("fingerprint") != self.fingerprint:
                 raise JournalCorruptError(
@@ -86,6 +88,17 @@ class ServiceJournal:
                     .format(self.path, header.get("format"))
                 )
             self.records = list(load.records)
+        return load
+
+    def open(self) -> "ServiceJournal":
+        """Load (verifying checksums), truncate any torn tail, and
+        open for appending.  Creates the journal if absent."""
+        load = self.load()
+        fresh = not self.records
+        if load is not None and (load.dropped_tail or not load.records):
+            LedgerReader.truncate_to(
+                self.path, load.clean_bytes if load.records else 0
+            )
         self._writer = LedgerWriter(
             self.path, next_seq=len(self.records)
         )
@@ -152,9 +165,3 @@ class ServiceJournal:
             if int(payload["epoch"]) == epoch:
                 return payload
         return None
-
-    # -- convenience -------------------------------------------------------
-
-    def exists(self) -> bool:
-        """Whether the journal file exists on disk."""
-        return os.path.exists(self.path)

@@ -52,14 +52,13 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.availability import (
     availability_report,
     render_availability_table,
 )
-from repro.ckpt.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.ckpt.quarantine import quarantine_checkpoint, verify_checkpoint_dir
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
@@ -72,7 +71,7 @@ from repro.parallel.executor import run_parallel_campaign
 from repro.parallel.pool import InlinePool, WarmWorkerPool
 from repro.proxy.population import PopulationConfig
 from repro.service import paths
-from repro.service.journal import ServiceJournal
+from repro.service.journal import ServiceError, ServiceJournal
 
 __all__ = [
     "EXIT_EPOCH_FAILED",
@@ -87,6 +86,7 @@ __all__ = [
     "ServiceError",
     "ServiceSupervisor",
     "epoch_client_seed_offset",
+    "read_service_manifest",
 ]
 
 #: Service process exit codes (``repro service run``/``resume``).
@@ -94,10 +94,6 @@ EXIT_OK = 0
 EXIT_INTERRUPTED = 3   # graceful SIGTERM/SIGINT; resumable
 EXIT_QUARANTINE = 4    # a checkpoint was quarantined; operator needed
 EXIT_EPOCH_FAILED = 5  # an epoch failed every retry
-
-
-class ServiceError(Exception):
-    """Base class for supervisor failures."""
 
 
 class GracefulShutdown(BaseException):
@@ -301,6 +297,31 @@ def _epoch_deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+def read_service_manifest(directory: str) -> Optional[Dict]:
+    """The ``service.json`` of *directory*, or None when there is none.
+
+    Raises :class:`ServiceError` when the file does not read back as a
+    manifest: cut short, not JSON, or without an identity.
+    """
+    path = paths.service_manifest_path(directory)
+    try:
+        with open(path) as handle:
+            manifest = json.load(handle)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise ServiceError(
+            "unreadable service manifest {!r}: {}".format(path, exc)
+        ) from None
+    if not isinstance(manifest, dict) or not isinstance(
+        manifest.get("identity"), dict
+    ):
+        raise ServiceError(
+            "unreadable service manifest {!r}: no identity".format(path)
+        )
+    return manifest
+
+
 def _json_digest(payload: Dict) -> str:
     """Digest of a dataset's plain-dict form (canonical compact JSON)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -345,7 +366,7 @@ class ServiceSupervisor:
             "updated_unix": int(time.time()),
         }
         path = paths.service_manifest_path(self.directory)
-        existing = self._read_service_manifest()
+        existing = read_service_manifest(self.directory)
         if existing is not None:
             manifest["created_unix"] = existing.get(
                 "created_unix", manifest["updated_unix"]
@@ -357,19 +378,6 @@ class ServiceSupervisor:
             trailing_newline=True,
         )
 
-    def _read_service_manifest(self) -> Optional[Dict]:
-        try:
-            with open(paths.service_manifest_path(self.directory)) as f:
-                return json.load(f)
-        except FileNotFoundError:
-            return None
-        except ValueError as exc:
-            raise ServiceError(
-                "unreadable service manifest in {!r}: {}".format(
-                    self.directory, exc
-                )
-            )
-
     # -- entry points ------------------------------------------------------
 
     def run(self, fresh: bool = True) -> int:
@@ -379,7 +387,7 @@ class ServiceSupervisor:
         :data:`EXIT_INTERRUPTED`, :data:`EXIT_QUARANTINE`, or
         :data:`EXIT_EPOCH_FAILED`).
         """
-        existing = self._read_service_manifest()
+        existing = read_service_manifest(self.directory)
         if fresh and existing is not None:
             raise ServiceError(
                 "service directory {!r} already holds a service "
@@ -555,7 +563,6 @@ class ServiceSupervisor:
                     "do53": len(self._dataset.do53),
                 },
             )
-            self._record_lineage(epoch, directory, digest)
             self.metrics.set_gauge("service.epochs_done", float(epoch + 1))
             return
 
@@ -711,32 +718,6 @@ class ServiceSupervisor:
         self._log(render_availability_table(report))
         self._digest = _json_digest(payload)
         return self._digest
-
-    def _record_lineage(
-        self, epoch: int, directory: str, digest: str
-    ) -> None:
-        """Chain this epoch into its checkpoint manifest's lineage."""
-        previous = ""
-        if epoch > 0:
-            try:
-                previous = CampaignCheckpoint.load(
-                    paths.epoch_dir(self.directory, epoch - 1)
-                ).fingerprint
-            except CheckpointError as exc:
-                # Missing or damaged: the link stays empty, and the next
-                # run's check of that epoch quarantines a damaged one.
-                self._log("epoch {}: no lineage link to epoch {} "
-                          "({})".format(epoch, epoch - 1, exc))
-                previous = ""
-        checkpoint = CampaignCheckpoint.load(directory)
-        checkpoint.add_lineage(
-            {
-                "service_epoch": epoch,
-                "service_fingerprint": self.fingerprint,
-                "previous_epoch_fingerprint": previous,
-                "dataset_digest": digest,
-            }
-        )
 
 
 def _availability_summary(report: Dict) -> Dict:

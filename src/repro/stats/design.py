@@ -10,8 +10,8 @@ and keeps human-readable column names so the analysis can report
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -92,17 +92,3 @@ class DesignMatrix:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def column_index(self, name: str) -> int:
-        """Position of *name* among the design columns."""
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise KeyError("no column named {!r}".format(name)) from None
-
-    def column_range(self, name: str) -> Tuple[float, float]:
-        """(min, max) of a column — used for min-max scaled coefficients."""
-        X, _ = self.matrices()
-        index = self.column_index(name)
-        column = X[:, index]
-        return float(column.min()), float(column.max())

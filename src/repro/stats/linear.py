@@ -9,7 +9,7 @@ provided here, along with classical t-test p-values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,22 +66,6 @@ class LinearModel:
         """Fitted values for the rows of *X*."""
         return np.asarray(X, dtype=float) @ self.coefficients
 
-    def summary_rows(self) -> List[Dict[str, float]]:
-        """Per-coefficient report rows (name, coef, scaled, se, p)."""
-        rows: List[Dict[str, float]] = []
-        for name in self.column_names:
-            rows.append(
-                {
-                    "name": name,
-                    "coef": self.coefficient(name),
-                    "scaled_coef": self.scaled_coefficient(name),
-                    "se": float(
-                        self.standard_errors[self._index(name)]
-                    ),
-                    "p": self.p_value(name),
-                }
-            )
-        return rows
 
 
 def fit_ols(

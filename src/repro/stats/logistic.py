@@ -11,7 +11,7 @@ ill-conditioned problems; no external fitting library is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,20 +81,6 @@ class LogisticModel:
         """P(y=1 | x) for rows of *X*."""
         return _sigmoid(np.asarray(X, dtype=float) @ self.coefficients)
 
-    def summary_rows(self) -> List[Dict[str, float]]:
-        """Per-coefficient report rows (name, beta, OR, se, p)."""
-        rows: List[Dict[str, float]] = []
-        for index, name in enumerate(self.column_names):
-            rows.append(
-                {
-                    "name": name,
-                    "beta": float(self.coefficients[index]),
-                    "odds_ratio": float(np.exp(self.coefficients[index])),
-                    "se": float(self.standard_errors[index]),
-                    "p": self.p_value(name),
-                }
-            )
-        return rows
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ timing, not confidentiality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.netsim.sockets import TcpConnection
@@ -32,7 +32,6 @@ __all__ = [
     "SERVER_FLIGHT_BYTES",
     "SERVER_FLIGHT_RESUMED_BYTES",
     "CLIENT_FINISHED_BYTES",
-    "server_flight_bytes",
 ]
 
 
@@ -71,15 +70,6 @@ _SERVER_FLIGHT_TABLE = {
     for resumed in (False, True)
     for with_ticket in (False, True)
 }
-
-
-def server_flight_bytes(version: str, resumed: bool, with_ticket: bool) -> int:
-    """Size of the server's first flight for a given handshake shape.
-
-    Exposed so session layers can precompute per-(provider, version)
-    handshake budgets without running a simulated handshake.
-    """
-    return _SERVER_FLIGHT_TABLE[version, resumed, with_ticket]
 
 
 @dataclass(frozen=True)

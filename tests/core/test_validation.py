@@ -2,7 +2,9 @@
 
 from dataclasses import dataclass
 
-from repro.core.validation import filter_mismatched, mismatch_rate
+from repro.core.campaign import CampaignResult
+from repro.core.validation import filter_mismatched
+from repro.dataset.store import Dataset
 from repro.geo.coords import LatLon
 from repro.geo.geolocate import GeolocationService
 
@@ -65,8 +67,12 @@ class TestFilter:
 
 
 class TestRate:
+    """The discard rate a campaign reports (paper: 0.88%)."""
+
     def test_rate(self):
-        assert mismatch_rate([1, 2, 3], [1]) == 0.25
+        result = CampaignResult(dataset=Dataset(), raw_doh=[None] * 3,
+                                discarded_doh=1)
+        assert result.discard_rate == 0.25
 
     def test_rate_empty(self):
-        assert mismatch_rate([], []) == 0.0
+        assert CampaignResult(dataset=Dataset()).discard_rate == 0.0

@@ -40,14 +40,15 @@ class TestProviderOverrides:
         provider = world.provider("quad9")
         for node in world.nodes()[:40]:
             assignment = provider.assignment_for(node.host)
-            assert assignment.is_nearest
+            assert assignment.pop_index == assignment.nearest_index
 
     def test_default_routing_not_always_nearest(self):
         world = build_world(_config(seed=57))
         provider = world.provider("quad9")
         nearest = [
-            provider.assignment_for(node.host).is_nearest
-            for node in world.nodes()[:60]
+            assignment.pop_index == assignment.nearest_index
+            for assignment in (provider.assignment_for(node.host)
+                               for node in world.nodes()[:60])
         ]
         assert not all(nearest)
 

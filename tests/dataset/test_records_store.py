@@ -81,13 +81,7 @@ class TestDatasetQueries:
     def test_analyzed_countries_requires_all_providers(self, ds):
         # FR has no successful cloudflare sample -> excluded.
         assert ds.analyzed_countries() == ["DE"]
-        assert ds.excluded_countries() == ["FR"]
 
-    def test_groupings(self, ds):
-        by_country = ds.doh_by_country()
-        assert set(by_country) == {"DE", "FR"}
-        assert len(by_country["DE"]) == 2
-        assert set(ds.do53_by_country()) == {"DE", "US"}
 
 
 def client2():

@@ -38,7 +38,7 @@ class TestAssignment:
         for index in range(50):
             assignment = policy.assign(BERLIN, POPS,
                                        "p:{}".format(index))
-            assert assignment.is_nearest
+            assert assignment.pop_index == assignment.nearest_index
             assert assignment.potential_improvement_km == 0.0
 
     def test_deterministic_per_identity(self):
@@ -58,10 +58,9 @@ class TestAssignment:
     def test_nearest_rate_matches_probability(self):
         policy = AnycastPolicy(nearest_prob=0.2, far_prob=0.2,
                                neighborhood_size=4)
-        hits = sum(
-            policy.assign(BERLIN, POPS, "p:{}".format(i)).is_nearest
-            for i in range(2000)
-        )
+        assignments = [policy.assign(BERLIN, POPS, "p:{}".format(i))
+                       for i in range(2000)]
+        hits = sum(a.pop_index == a.nearest_index for a in assignments)
         # Far picks occasionally land on the nearest (1/6 of the time).
         assert 0.15 <= hits / 2000 <= 0.35
 
@@ -72,7 +71,7 @@ class TestAssignment:
             assignment = policy.assign(BERLIN, POPS, "p:{}".format(index))
             # Only Frankfurt or Paris (2nd/3rd nearest).
             assert assignment.pop_index in (1, 2)
-            assert not assignment.is_nearest
+            assert assignment.nearest_index == 0
 
     def test_improvement_metric(self):
         policy = AnycastPolicy(nearest_prob=0.0, far_prob=0.0,
@@ -82,15 +81,11 @@ class TestAssignment:
         assert assignment.potential_improvement_km == pytest.approx(
             assignment.distance_km - assignment.nearest_distance_km
         )
-        assert assignment.potential_improvement_miles == pytest.approx(
-            assignment.potential_improvement_km / 1.609344
-        )
 
     def test_single_pop_always_assigned(self):
         policy = AnycastPolicy(nearest_prob=0.0, far_prob=0.0)
         assignment = policy.assign(BERLIN, [LatLon(0.0, 0.0)], "p:x")
-        assert assignment.pop_index == 0
-        assert assignment.is_nearest
+        assert assignment.pop_index == assignment.nearest_index == 0
 
     def test_far_picks_reach_remote_pops(self):
         policy = AnycastPolicy(nearest_prob=0.0, far_prob=1.0)

@@ -15,15 +15,27 @@ class TestEvent:
     def test_succeed_delivers_value(self, sim):
         event = sim.event()
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
+
+        def waiter():
+            seen.append((yield event))
+
+        sim.spawn(waiter())
+        sim.run()
+        assert seen == []
         event.succeed(42)
         assert seen == [42]
 
     def test_callback_after_trigger_runs_immediately(self, sim):
         event = sim.event().succeed("x")
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        assert seen == ["x"]
+
+        def waiter():
+            seen.append((yield event))
+            seen.append(sim.now)
+
+        sim.spawn(waiter())
+        sim.run()
+        assert seen == ["x", 0.0]
 
     def test_double_trigger_raises(self, sim):
         event = sim.event().succeed(1)
@@ -66,19 +78,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
-
-    def test_run_until_stops_clock(self, sim):
-        fired = []
-        sim.schedule(10.0, lambda: fired.append(1))
-        sim.run(until=5.0)
-        assert not fired and sim.now == 5.0
-        sim.run()
-        assert fired and sim.now == 10.0
-
-    def test_run_until_beyond_queue_advances_clock(self, sim):
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=50.0)
-        assert sim.now == 50.0
 
 
 class TestTimeout:

@@ -1,12 +1,18 @@
-"""Latency-model tests: decomposition, monotonicity, determinism."""
+"""Latency-model tests: decomposition, monotonicity, determinism.
+
+Sampled delays are measured where every campaign draws them, in
+:meth:`Network.transmit`: a message's arrival time minus ``sim.now``.
+"""
 
 import random
 
 import pytest
 
-from repro.geo.coords import LatLon, geodesic_km
+from repro.geo.coords import LatLon
+from repro.netsim.engine import Simulator
 from repro.netsim.host import SiteProfile
 from repro.netsim.latency import LatencyModel, LatencyParams
+from repro.netsim.network import Network
 
 NY = LatLon(40.7, -74.0)
 PARIS = LatLon(48.9, 2.4)
@@ -30,6 +36,15 @@ def site(location=NY, country="US", last_mile=8.0, bandwidth=100.0,
 @pytest.fixture()
 def model():
     return LatencyModel(LatencyParams())
+
+
+def one_way(model, src, dst, nbytes, rng):
+    """One delay sampled by ``Network.transmit`` from *src* to *dst*."""
+    network = Network(Simulator(), rng, model)
+    sender = network.add_host("src", "10.0.0.1", src)
+    network.add_host("dst", "10.0.0.2", dst)
+    arrival = network.transmit(sender, "10.0.0.2", nbytes, lambda: None)
+    return arrival - network.sim.now
 
 
 class TestPropagation:
@@ -81,8 +96,8 @@ class TestOneWaySampling:
     def test_delay_positive(self, model):
         rng = random.Random(1)
         for _ in range(200):
-            delay = model.one_way_ms(site(), site(PARIS, country="FR"),
-                                     200, rng)
+            delay = one_way(model, site(), site(PARIS, country="FR"),
+                            200, rng)
             assert delay > 0.0
 
     def test_delay_exceeds_deterministic_floor(self, model):
@@ -90,25 +105,25 @@ class TestOneWaySampling:
         a, b = site(), site(PARIS, country="FR")
         floor = model.propagation_ms(a, b)
         for _ in range(100):
-            assert model.one_way_ms(a, b, 100, rng) >= floor
+            assert one_way(model, a, b, 100, rng) >= floor
 
     def test_deterministic_given_seed(self, model):
         a, b = site(), site(PARIS, country="FR")
-        first = [model.one_way_ms(a, b, 100, random.Random(7))
+        first = [one_way(model, a, b, 100, random.Random(7))
                  for _ in range(1)]
-        second = [model.one_way_ms(a, b, 100, random.Random(7))
+        second = [one_way(model, a, b, 100, random.Random(7))
                   for _ in range(1)]
         assert first == second
 
     def test_farther_is_slower_in_median(self, model):
         rng = random.Random(3)
         near = sorted(
-            model.one_way_ms(site(), site(PARIS, country="FR"), 100, rng)
+            one_way(model, site(), site(PARIS, country="FR"), 100, rng)
             for _ in range(101)
         )[50]
         rng = random.Random(3)
         far = sorted(
-            model.one_way_ms(site(), site(SYDNEY, country="AU"), 100, rng)
+            one_way(model, site(), site(SYDNEY, country="AU"), 100, rng)
             for _ in range(101)
         )[50]
         assert far > near
@@ -119,12 +134,12 @@ class TestOneWaySampling:
         foreign = site(PARIS, country="FR")
         same_country = site(PARIS, country="US")  # same code, no surcharge
         with_surcharge = sorted(
-            model.one_way_ms(domestic_site, foreign, 100, rng)
+            one_way(model, domestic_site, foreign, 100, rng)
             for _ in range(101)
         )[50]
         rng = random.Random(4)
         without = sorted(
-            model.one_way_ms(domestic_site, same_country, 100, rng)
+            one_way(model, domestic_site, same_country, 100, rng)
             for _ in range(101)
         )[50]
         assert with_surcharge - without == pytest.approx(50.0, abs=15.0)
@@ -132,17 +147,17 @@ class TestOneWaySampling:
     def test_datacenter_endpoints_faster_than_residential(self, model):
         rng = random.Random(5)
         residential = sorted(
-            model.one_way_ms(site(last_mile=20.0),
-                             site(PARIS, country="FR", last_mile=20.0),
-                             100, rng)
+            one_way(model, site(last_mile=20.0),
+                    site(PARIS, country="FR", last_mile=20.0),
+                    100, rng)
             for _ in range(101)
         )[50]
         rng = random.Random(5)
         dc = sorted(
-            model.one_way_ms(site(datacenter=True, last_mile=0.2),
-                             site(PARIS, country="FR", datacenter=True,
-                                  last_mile=0.2),
-                             100, rng)
+            one_way(model, site(datacenter=True, last_mile=0.2),
+                    site(PARIS, country="FR", datacenter=True,
+                         last_mile=0.2),
+                    100, rng)
             for _ in range(101)
         )[50]
         assert dc < residential
@@ -168,8 +183,8 @@ class TestExpectedRtt:
         expected = model.expected_rtt_ms(a, b)
         rng = random.Random(8)
         sampled = sorted(
-            model.one_way_ms(a, b, 100, rng)
-            + model.one_way_ms(b, a, 100, rng)
+            one_way(model, a, b, 100, rng)
+            + one_way(model, b, a, 100, rng)
             for _ in range(301)
         )[150]
         assert expected == pytest.approx(sampled, rel=0.5)

@@ -90,7 +90,7 @@ class TestMetricsRegistry:
         a.set_gauge("wall", 1.5)
         b.set_gauge("wall", 0.5)
         b.observe("h", 42.0)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.counter("n") == 5
         assert a.gauge("wall") == 1.5
         assert a.histogram("h").count == 1
@@ -114,12 +114,6 @@ class TestMetricsRegistry:
         metrics.inc("a", 2)
         metrics.set_gauge("g", 0.25)
         metrics.observe("h", 12.0)
-        clone = MetricsRegistry.from_snapshot(metrics.snapshot())
+        clone = MetricsRegistry()
+        clone.merge_snapshot(metrics.snapshot())
         assert clone.snapshot() == metrics.snapshot()
-
-    def test_describe_filters_by_prefix(self):
-        metrics = MetricsRegistry()
-        metrics.inc("campaign.nodes", 2)
-        metrics.inc("sim.events", 5)
-        lines = metrics.describe(prefix="campaign.")
-        assert lines == ["campaign.nodes = 2"]

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +22,7 @@ from repro.service import (
 )
 from repro.service import paths as service_paths
 from repro.service.journal import ServiceJournal
-from tests.service.conftest import tiny_config
+from tests.service.conftest import cli_run_args, service_env, tiny_config
 
 
 def dataset_digest(directory: str) -> str:
@@ -99,35 +102,12 @@ class TestLifecycle:
         availability = manifest["availability"]
         assert set(availability["providers"]) == set(finished.providers)
 
-    def test_epoch_checkpoints_carry_lineage(self, finished):
-        for epoch in range(finished.epochs):
-            with open(service_paths.checkpoint_manifest_path(
-                service_paths.epoch_dir(finished.directory, epoch)
-            )) as handle:
-                manifest = json.load(handle)
-            entries = [
-                entry for entry in manifest.get("lineage", [])
-                if entry.get("service_epoch") == epoch
-            ]
-            assert entries, "epoch {} missing service lineage".format(
-                epoch
-            )
-            assert entries[0]["service_fingerprint"] == (
-                finished.fingerprint()
-            )
-
-    def test_ckpt_status_prints_service_lineage(self, finished, capsys):
+    def test_ckpt_status_on_an_epoch_checkpoint(self, finished, capsys):
         epoch1 = service_paths.epoch_dir(finished.directory, 1)
         assert main(["ckpt", "status", epoch1]) == 0
         out = capsys.readouterr().out
         assert "None" not in out
-        previous = read_journal(finished).epochs_done()
-        assert "service epoch 1: previous={} digest={}".format(
-            CampaignCheckpoint.load(
-                service_paths.epoch_dir(finished.directory, 0)
-            ).fingerprint,
-            previous[1]["dataset_digest"],
-        ) in out
+        assert CampaignCheckpoint.load(epoch1).fingerprint in out
 
 
 class TestDeterminismContract:
@@ -229,3 +209,56 @@ class TestWatchdogAndRetries:
         assert dataset_digest(config.directory) == dataset_digest(
             finished.directory
         )
+
+
+class TestCliNamesProblems:
+    """``repro service`` names a damaged or occupied directory on
+    stderr and exits 1, as ``repro ckpt`` does, with no traceback."""
+
+    @staticmethod
+    def run_cli(argv):
+        return subprocess.run(
+            argv, env=service_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+
+    @staticmethod
+    def copy_of(finished, directory):
+        os.makedirs(directory)
+        for getter in (service_paths.service_manifest_path,
+                       service_paths.journal_path):
+            shutil.copy(getter(finished.directory), getter(directory))
+        return directory
+
+    def assert_named(self, proc, command, problem):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "repro service {}: error:".format(command) in proc.stderr
+        assert problem in proc.stderr
+
+    def test_run_into_an_existing_service(self, finished):
+        proc = self.run_cli(cli_run_args(finished))
+        self.assert_named(proc, "run", "already holds a service")
+
+    @pytest.mark.parametrize("command", ["status", "resume"])
+    def test_half_a_service_manifest(self, finished, tmp_path, command):
+        directory = self.copy_of(finished, str(tmp_path / "svc"))
+        path = service_paths.service_manifest_path(directory)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:len(data) // 2])
+        proc = self.run_cli([sys.executable, "-m", "repro", "service",
+                             command, directory])
+        self.assert_named(proc, command, "unreadable service manifest")
+
+    def test_resume_with_a_journal_corrupt_mid_file(self, finished,
+                                                    tmp_path):
+        directory = self.copy_of(finished, str(tmp_path / "svc"))
+        path = service_paths.journal_path(directory)
+        with open(path, "r+b") as handle:
+            handle.seek(os.path.getsize(path) // 2)
+            handle.write(b"\xff")
+        proc = self.run_cli([sys.executable, "-m", "repro", "service",
+                             "resume", directory])
+        self.assert_named(proc, "resume", "corrupt mid-file")

@@ -64,13 +64,6 @@ class TestLogistic:
         with pytest.raises(ValueError):
             fit_logistic(np.ones(5), np.zeros(5))
 
-    def test_summary_rows(self):
-        X, y, _ = self.make_data(n=500)
-        model = fit_logistic(X, y, ["intercept", "flag", "z"])
-        rows = model.summary_rows()
-        assert [row["name"] for row in rows] == ["intercept", "flag", "z"]
-        assert all("odds_ratio" in row for row in rows)
-
 
 class TestLinear:
     def make_data(self, n=2000, seed=5, noise=1.0):
@@ -164,14 +157,6 @@ class TestDesignMatrix:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             DesignMatrix().matrices()
-
-    def test_column_range(self):
-        design = DesignMatrix(continuous=("v",))
-        design.add_row({}, {"v": 2.0}, 0.0)
-        design.add_row({}, {"v": 8.0}, 1.0)
-        assert design.column_range("v") == (2.0, 8.0)
-        with pytest.raises(KeyError):
-            design.column_range("missing")
 
     def test_end_to_end_with_logistic(self):
         # Categorical effect recovered through the design-matrix path.

@@ -203,6 +203,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bandwidth" in out
 
+    def test_analyze_names_a_dataset_it_cannot_analyse(self, tmp_path,
+                                                       capsys):
+        from repro.dataset.store import Dataset
+
+        path = str(tmp_path / "empty.json")
+        Dataset().save(path)
+        assert main(["analyze", path, "--artifact", "figure3"]) == 1
+        err = capsys.readouterr().err
+        assert "repro analyze: error: no analysed countries" in err
+
     def test_groundtruth(self, capsys):
         code = main([
             "groundtruth", "--scale", "0.004", "--repetitions", "2",
