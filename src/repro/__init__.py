@@ -11,8 +11,9 @@ table and figure of the paper's evaluation.
 Quickstart::
 
     from repro import ReproConfig, build_world, Campaign
+    from repro.proxy.population import PopulationConfig
 
-    config = ReproConfig.small(scale=0.05)
+    config = ReproConfig(population=PopulationConfig(scale=0.05))
     world = build_world(config)
     dataset = Campaign(world).run().dataset
     print(dataset.summary())

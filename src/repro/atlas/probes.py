@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.dns.stub import StubResolver
 from repro.geo.countries import COUNTRIES
@@ -16,6 +16,7 @@ from repro.proxy.population import (
     PopulationConfig,
     choose_default_resolver,
     client_site_for,
+    country_resolver_quality,
 )
 
 __all__ = ["AtlasProbe", "build_probes"]
@@ -41,7 +42,6 @@ def build_probes(
     infrastructure: Mapping[str, CountryInfrastructure],
     countries: Sequence[str],
     probes_per_country: int = 20,
-    population_config: Optional[PopulationConfig] = None,
 ) -> Dict[str, List[AtlasProbe]]:
     """Deploy Atlas probes in *countries*.
 
@@ -51,8 +51,7 @@ def build_probes(
     consistency validation holds: both platforms observe the same
     resolver population.
     """
-    if population_config is None:
-        population_config = PopulationConfig()
+    population_config = PopulationConfig()
     probes: Dict[str, List[AtlasProbe]] = {}
     for code in countries:
         code = code.upper()
@@ -69,7 +68,8 @@ def build_probes(
                 client_site_for(country, rng),
             )
             _kind, resolver_ip = choose_default_resolver(
-                code, infra, infrastructure, rng, population_config
+                code, infra, infrastructure, rng, population_config,
+                country_resolver_quality(code),
             )
             stub = StubResolver(host, resolver_ip, rng)
             fleet.append(

@@ -39,7 +39,7 @@ from repro.ckpt.checkpoint import (
 )
 from repro.ckpt.extend import ExtendResult, extend_campaign, plan_extension
 from repro.ckpt.fingerprint import campaign_fingerprint
-from repro.ckpt.ledger import LedgerReader, LedgerWriter
+from repro.ckpt.ledger import LedgerWriter
 from repro.ckpt.quarantine import (
     VERIFY_CLEAN,
     VERIFY_STALE,
@@ -55,7 +55,6 @@ __all__ = [
     "CheckpointHealth",
     "CheckpointMismatchError",
     "ExtendResult",
-    "LedgerReader",
     "LedgerWriter",
     "MeasureCheckpoint",
     "VERIFY_CLEAN",

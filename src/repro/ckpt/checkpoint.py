@@ -51,7 +51,6 @@ from repro.ckpt.worldstate import (
 )
 from repro.core.campaign import NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
-from repro.faults.plan import WORKER_CRASH_EXIT  # noqa: F401  (re-export)
 from repro.ioutil import atomic_write_bytes, atomic_write_json
 from repro.parallel.wirepack import pack_samples, unpack_samples
 
@@ -253,15 +252,12 @@ class CampaignCheckpoint:
             indent=2, sort_keys=True, trailing_newline=True,
         )
 
-    def record_run(self, info: Dict) -> None:
-        """Append one run's resume counters to the manifest."""
+    def complete(self, info: Dict) -> None:
+        """Append the finished run's resume counters and flip the
+        status to ``complete``, in one atomic manifest rewrite."""
         entry = dict(info)
         entry["started_unix"] = int(time.time())
         self.manifest.setdefault("runs", []).append(entry)
-        self._write_manifest()
-
-    def mark_complete(self) -> None:
-        """Flip the manifest status to ``complete`` (atomic rewrite)."""
         self.manifest["status"] = "complete"
         self._write_manifest()
 

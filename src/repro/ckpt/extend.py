@@ -198,7 +198,6 @@ def extend_campaign(
     extra_runs: int = 0,
     scale: Optional[float] = None,
     resume: str = "auto",
-    progress=None,
 ) -> ExtendResult:
     """Grow *dataset* (produced by the checkpoint at *base_dir*) along
     one extension axis; returns the merged dataset plus provenance.
@@ -209,7 +208,9 @@ def extend_campaign(
     anything, which the returned (and manifest-recorded) resume
     counters make verifiable.  *resume* follows the usual contract —
     ``"auto"`` (default) adopts an interrupted or finished delta,
-    ``"force"`` discards and re-measures it.
+    ``"force"`` discards and re-measures it.  An axis
+    :func:`plan_extension` rejects raises :class:`CheckpointError`
+    naming the problem, as an unfinished base does.
     """
     base = CampaignCheckpoint.load(base_dir)
     if base.manifest.get("status") != "complete":
@@ -219,10 +220,14 @@ def extend_campaign(
                 base_dir, base.manifest.get("status")
             )
         )
-    plan = plan_extension(
-        base.stored_config(), providers=providers,
-        extra_runs=extra_runs, scale=scale,
-    )
+    try:
+        plan = plan_extension(
+            base.stored_config(), providers=providers,
+            extra_runs=extra_runs, scale=scale,
+        )
+    except ValueError as exc:
+        raise CheckpointError("cannot extend checkpoint {!r}: {}".format(
+            base_dir, exc)) from None
     execution = {
         "mode": "extend",
         "kind": plan.kind,
@@ -248,7 +253,7 @@ def extend_campaign(
     result_path = os.path.join(ext_dir, "delta.result")
     cached = load_unit_result(result_path, ext.fingerprint)
     if cached is None:
-        delta = _measure_delta(plan, ext, progress)
+        delta = _measure_delta(plan, ext)
         store_unit_result(
             result_path, ext.fingerprint, pack_shard_result(delta)
         )
@@ -258,7 +263,7 @@ def extend_campaign(
         delta.resumed_batches += delta.measured_batches
         delta.measured_batches = 0
     replayed, measured = delta.resumed_batches, delta.measured_batches
-    ext.record_run(
+    ext.complete(
         {
             "units": [
                 {
@@ -269,7 +274,6 @@ def extend_campaign(
             ]
         }
     )
-    ext.mark_complete()
 
     delta_result = merge_shard_results(plan.config, [delta], [])
     delta_dataset = delta_result.dataset
@@ -303,8 +307,8 @@ def extend_campaign(
     )
 
 
-def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
-                   progress) -> ShardResult:
+def _measure_delta(plan: ExtensionPlan,
+                   ext: CampaignCheckpoint) -> ShardResult:
     """Run the delta campaign under *ext*'s ``delta.state``; returns it
     as one shard result (batch counters included)."""
     world = build_world(plan.config)
@@ -322,4 +326,4 @@ def _measure_delta(plan: ExtensionPlan, ext: CampaignCheckpoint,
         base_ids = fleet_node_ids(plan.base_config)
         nodes = [node for node in nodes if node.node_id not in base_ids]
     checkpoint = MeasureCheckpoint(ext.directory, "delta", ext.fingerprint)
-    return measure_shard(campaign, nodes, 0, checkpoint, progress)
+    return measure_shard(campaign, nodes, 0, checkpoint)

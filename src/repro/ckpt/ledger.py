@@ -34,10 +34,10 @@ from typing import Any, List, Optional
 __all__ = [
     "CheckpointCorruptionError",
     "CheckpointError",
-    "LedgerReader",
     "LedgerRecord",
     "LedgerWriter",
     "read_ledger",
+    "truncate_ledger",
 ]
 
 
@@ -94,7 +94,7 @@ class LedgerWriter:
         self._seq = next_seq
         self._handle = open(path, "ab")
 
-    def append(self, kind: str, payload: Any, fsync: bool = True) -> int:
+    def append(self, kind: str, payload: Any) -> int:
         """Append one record; returns its sequence number."""
         seq = self._seq
         line = json.dumps(
@@ -109,8 +109,7 @@ class LedgerWriter:
         )
         self._handle.write(line.encode("utf-8") + b"\n")
         self._handle.flush()
-        if fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self._seq = seq + 1
         return seq
 
@@ -197,14 +196,10 @@ def read_ledger(path: str) -> Optional[LedgerLoad]:
     )
 
 
-class LedgerReader:
-    """Truncation of a ledger back to its verified prefix."""
-
-    @staticmethod
-    def truncate_to(path: str, clean_bytes: int) -> None:
-        """Drop a torn tail so the next writer appends after the clean
-        prefix."""
-        with open(path, "ab") as handle:
-            handle.truncate(clean_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
+def truncate_ledger(path: str, clean_bytes: int) -> None:
+    """Drop a torn tail so the next writer appends after the clean
+    prefix."""
+    with open(path, "ab") as handle:
+        handle.truncate(clean_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())

@@ -36,15 +36,11 @@ from repro.ckpt.fingerprint import FORMAT_VERSION
 
 __all__ = [
     "CheckpointHealth",
-    "QUARANTINE_DIRNAME",
     "VERIFY_CLEAN",
     "VERIFY_STALE",
     "quarantine_checkpoint",
     "verify_checkpoint_dir",
 ]
-
-#: Name of the holding area for quarantined checkpoints.
-QUARANTINE_DIRNAME = "quarantine"
 
 #: ``repro ckpt verify`` exit codes (documented contract; the service
 #: and CI branch on them).

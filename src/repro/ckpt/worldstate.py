@@ -136,7 +136,6 @@ def capture_world_state(world: World) -> Dict:
             "country_index": dict(world.allocator._country_index),
             "next_subnet": dict(world.allocator._next_subnet),
             "next_host": dict(world.allocator._next_host),
-            "owner_by_subnet": dict(world.allocator._owner_by_subnet),
         },
     }
     injector = world.fault_injector
@@ -241,8 +240,6 @@ def restore_world_state(world: World, state: Dict) -> None:
     allocator._next_subnet.update(saved["next_subnet"])
     allocator._next_host.clear()
     allocator._next_host.update(saved["next_host"])
-    allocator._owner_by_subnet.clear()
-    allocator._owner_by_subnet.update(saved["owner_by_subnet"])
 
     injector = world.fault_injector
     if "faults" in state:

@@ -27,7 +27,7 @@ from repro.core.doh_timing import (
     compute_t_dohr,
     doh_n,
 )
-from repro.core.do53_timing import do53_time, do53_valid
+from repro.core.do53_timing import do53_valid
 from repro.core.client import MeasurementClient
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.groundtruth import (
@@ -52,7 +52,6 @@ __all__ = [
     "compute_rtt_estimate",
     "compute_t_doh",
     "compute_t_dohr",
-    "do53_time",
     "do53_valid",
     "doh_n",
     "filter_mismatched",

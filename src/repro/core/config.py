@@ -40,7 +40,3 @@ class ReproConfig:
     #: the config so it shards and pickles; see ``repro.faults``.
     faults: Optional[FaultPlan] = None
 
-    @classmethod
-    def small(cls, scale: float = 0.12, seed: int = 20210402) -> "ReproConfig":
-        """A reduced-scale config for tests and quick benchmarks."""
-        return cls(seed=seed, population=PopulationConfig(scale=scale))

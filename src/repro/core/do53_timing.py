@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.timeline import Do53Raw
 from repro.geo.countries import SUPER_PROXY_COUNTRIES
 
-__all__ = ["do53_time", "do53_valid"]
+__all__ = ["do53_valid"]
 
 
 def do53_valid(raw: Do53Raw) -> bool:
@@ -28,13 +28,3 @@ def do53_valid(raw: Do53Raw) -> bool:
         return False
     return raw.claimed_country not in SUPER_PROXY_COUNTRIES
 
-
-def do53_time(raw: Do53Raw) -> float:
-    """The Do53 resolution time; raises on invalid samples."""
-    if not do53_valid(raw):
-        raise ValueError(
-            "Do53 sample from {} is not valid (resolved at {})".format(
-                raw.claimed_country, raw.resolved_at
-            )
-        )
-    return raw.dns_ms

@@ -1,8 +1,9 @@
-"""Precomputed world-build snapshot shipped to shard workers.
+"""The deterministic slice of a world build, fitted once per campaign.
 
-Building a world repeats a block of work that is expensive but fully
-deterministic — a pure function of the :class:`PopulationConfig` and
-the static country tables, untouched by the world's RNG stream:
+Every world is built from one :class:`WorldPlan`.  It holds the block
+of build work that is expensive but fully deterministic — a pure
+function of the :class:`PopulationConfig` and the static country
+tables, untouched by the world's RNG stream:
 
 * fitting the per-country client counts to the paper's Figure-3
   population statistics (a bisection over power-law transforms),
@@ -11,19 +12,17 @@ the static country tables, untouched by the world's RNG stream:
 * which countries resolve through off-shore hubs, and which hub city
   each one uses (a nearest-hub sweep per remote country).
 
-In the sharded executor every worker builds the same world from
-scratch, so this block used to run ``num_shards + 1`` times.  A
-:class:`WorldPlan` computes it once in the parent and reaches the
+:func:`~repro.core.world.build_world` fits the plan itself when its
+caller passes none.  In the sharded executor every worker builds the
+same world, so the parent fits the plan once and it reaches the
 workers with the pool prime — it is plain picklable data, no simulator
-state.  Because every value is exactly what the worker would have
-computed itself, worlds built with and without a plan are identical,
-and the dataset bytes cannot change.
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.geo.cities import CITIES
 from repro.geo.coords import geodesic_km
@@ -42,8 +41,7 @@ __all__ = ["WorldPlan"]
 class WorldPlan:
     """Deterministic, picklable precomputation for one world build.
 
-    Values are snapshots of what :func:`build_population` would derive
-    itself; the population config they were fitted against is recorded
+    The population config the values were fitted against is recorded
     so a mismatched plan fails loudly instead of silently building a
     different fleet.
     """
@@ -60,18 +58,8 @@ class WorldPlan:
 
     @classmethod
     def for_config(cls, config) -> "WorldPlan":
-        """Build the plan for *config*.
-
-        *config* is either a :class:`ReproConfig` (its ``population``
-        is used) or a :class:`PopulationConfig` directly.
-        """
-        population = getattr(config, "population", config)
-        if not isinstance(population, PopulationConfig):
-            raise TypeError(
-                "expected ReproConfig or PopulationConfig, got {!r}".format(
-                    type(config).__name__
-                )
-            )
+        """Build the plan for the :class:`ReproConfig` *config*."""
+        population = config.population
         counts = population.scaled_counts()
         quality = {
             code: country_resolver_quality(code) for code in sorted(COUNTRIES)
@@ -81,9 +69,7 @@ class WorldPlan:
             if not country_has_remote_resolvers(code):
                 continue
             country = COUNTRIES[code]
-            # Mirrors build_population's nearest-hub sweep exactly:
-            # same candidate order, same tie behaviour (min keeps the
-            # first), same memoized distance.
+            # The nearest hub; min keeps the first on a tie.
             hub = min(
                 (CITIES[key] for key in _REMOTE_RESOLVER_HUBS),
                 key=lambda c: geodesic_km(c.location, country.location),

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.dns.authoritative import AuthoritativeServer
-from repro.dns.message import Message
 from repro.dns.name import DomainName
 from repro.dns.records import ARecord, NSRecord, RRClass, RRType, ResourceRecord
 from repro.dns.recursive import RecursiveResolver
@@ -33,8 +32,8 @@ from repro.doh.provider import (
 )
 from repro.faults.injector import FaultInjector
 from repro.geo.cities import CITIES, City
-from repro.geo.coords import LatLon, geodesic_km
-from repro.geo.countries import COUNTRIES, SUPER_PROXY_COUNTRIES
+from repro.geo.coords import geodesic_km
+from repro.geo.countries import SUPER_PROXY_COUNTRIES
 from repro.geo.geolocate import GeolocationService
 from repro.geo.ipalloc import IpAllocator
 from repro.http.message import HttpRequest, HttpResponse, Status
@@ -50,6 +49,7 @@ from repro.proxy.population import (
 )
 from repro.proxy.superproxy import SuperProxy
 from repro.core.config import ReproConfig
+from repro.core.plan import WorldPlan
 
 __all__ = ["World", "build_world", "install_faults"]
 
@@ -154,12 +154,14 @@ def build_world(
     name (ablation studies patch anycast policies or backbone quality
     without touching the global tables).
 
-    *plan* is an optional :class:`repro.core.plan.WorldPlan` — the
-    precomputed deterministic slice of the build (population fit,
-    resolver qualities, remote-resolver hubs).  Worlds built with and
-    without a plan are identical; shard workers use one to skip
-    recomputing it per process.
+    *plan* is the :class:`repro.core.plan.WorldPlan` for *config* — the
+    deterministic slice of the build (population fit, resolver
+    qualities, remote-resolver hubs).  It is fitted here when the
+    caller passes none; shard workers receive the parent's, so the fit
+    runs once per campaign rather than once per process.
     """
+    if plan is None:
+        plan = WorldPlan.for_config(config)
     sim = Simulator()
     rng = random.Random(config.seed)
     network = Network(sim, rng, latency=LatencyModel(config.latency))

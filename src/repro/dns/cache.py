@@ -100,8 +100,3 @@ class DnsCache:
                  if now >= entry.expires_at_ms]
         for key in stale:
             del self._entries[key]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -96,10 +96,6 @@ class DomainName:
     def is_root(self) -> bool:
         return not self.labels
 
-    @property
-    def is_wildcard(self) -> bool:
-        return bool(self.labels) and self.labels[0] == "*"
-
     def parent(self) -> "DomainName":
         """The name with the leftmost label removed."""
         if self.is_root:
@@ -117,18 +113,6 @@ class DomainName:
         if not other.labels:
             return True
         return self.labels[-len(other.labels):] == other.labels
-
-    def relativize(self, origin: "DomainName") -> Tuple[str, ...]:
-        """Labels of *self* below *origin*."""
-        if not self.is_subdomain_of(origin):
-            raise NameError_("{} is not under {}".format(self, origin))
-        if not origin.labels:
-            return self.labels
-        return self.labels[: -len(origin.labels)]
-
-    def wildcard_of(self) -> "DomainName":
-        """The wildcard name at this name's parent (``*.parent``)."""
-        return self.parent().child("*")
 
     # -- dunder ------------------------------------------------------------
 

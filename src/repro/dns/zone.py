@@ -9,7 +9,7 @@ recursive resolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dns.name import DomainName
@@ -58,20 +58,18 @@ class LookupResult:
 class Zone:
     """One authoritative zone: an origin, records, and delegations."""
 
-    def __init__(self, origin: DomainName, soa: Optional[SOARecord] = None,
-                 default_ttl: int = 300) -> None:
+    def __init__(self, origin: DomainName, default_ttl: int = 300) -> None:
         self.origin = DomainName(origin)
         self.default_ttl = default_ttl
         self._records: Dict[Tuple[DomainName, int], List[ResourceRecord]] = {}
         self._names: set = set()
-        if soa is None:
-            soa = SOARecord(
-                mname=self.origin.child("ns1") if not self.origin.is_root
-                else DomainName("ns.root"),
-                rname=DomainName("hostmaster.{}".format(self.origin)
-                                 if not self.origin.is_root else "hostmaster"),
-                serial=1,
-            )
+        soa = SOARecord(
+            mname=self.origin.child("ns1") if not self.origin.is_root
+            else DomainName("ns.root"),
+            rname=DomainName("hostmaster.{}".format(self.origin)
+                             if not self.origin.is_root else "hostmaster"),
+            serial=1,
+        )
         self.soa_record = ResourceRecord(
             self.origin, RRType.SOA, RRClass.IN, default_ttl, soa
         )
@@ -174,7 +172,3 @@ class Zone:
             return LookupResult(soa=self.soa_record, nxdomain=False)
 
         return LookupResult(soa=self.soa_record, nxdomain=True)
-
-    def record_count(self) -> int:
-        """Total records held (including SOA)."""
-        return sum(len(records) for records in self._records.values())

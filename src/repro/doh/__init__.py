@@ -21,7 +21,7 @@ from repro.doh.wire import (
     encode_response,
     extract_message_from_response,
 )
-from repro.doh.pops import PROVIDER_POPS, pop_cities
+from repro.doh.pops import PROVIDER_POPS
 from repro.doh.anycast import AnycastPolicy, PopAssignment
 from repro.doh.provider import (
     DohPop,
@@ -49,6 +49,5 @@ __all__ = [
     "encode_post_request",
     "encode_response",
     "extract_message_from_response",
-    "pop_cities",
     "resolve_direct",
 ]

@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.geo.coords import KM_PER_MILE, LatLon, geodesic_km
+from repro.geo.coords import LatLon, geodesic_km
 
 __all__ = ["AnycastPolicy", "PopAssignment"]
 
@@ -40,10 +40,6 @@ class PopAssignment:
     def potential_improvement_km(self) -> float:
         """Paper's Figure-6 metric: used distance minus nearest distance."""
         return max(0.0, self.distance_km - self.nearest_distance_km)
-
-    @property
-    def distance_miles(self) -> float:
-        return self.distance_km / KM_PER_MILE
 
 
 @dataclass(frozen=True)

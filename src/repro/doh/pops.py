@@ -18,11 +18,11 @@ the shared city table.  Counts are asserted at import time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.geo.cities import CITIES, City
+from repro.geo.cities import CITIES
 
-__all__ = ["PROVIDER_POPS", "PROVIDER_NAMES", "pop_cities"]
+__all__ = ["PROVIDER_POPS", "PROVIDER_NAMES"]
 
 PROVIDER_NAMES = ("cloudflare", "google", "nextdns", "quad9")
 
@@ -192,11 +192,3 @@ for _name, _keys in PROVIDER_POPS.items():
     if _unknown:  # pragma: no cover - data sanity
         raise RuntimeError("{} has unknown cities: {}".format(_name, _unknown))
 
-
-def pop_cities(provider: str) -> List[City]:
-    """The PoP cities for *provider* (lower-case name)."""
-    try:
-        keys = PROVIDER_POPS[provider.lower()]
-    except KeyError:
-        raise KeyError("unknown provider: {!r}".format(provider)) from None
-    return [CITIES[key] for key in keys]

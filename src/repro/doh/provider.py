@@ -290,10 +290,6 @@ class DohProvider:
     def _route(self, client: Host) -> str:
         return self.pops[self.assignment_for(client).pop_index].host.ip
 
-    def pop_for(self, client: Host) -> DohPop:
-        """The concrete PoP serving *client*."""
-        return self.pops[self.assignment_for(client).pop_index]
-
     # -- request handling ---------------------------------------------------
 
     def _connection_refused(self) -> bool:

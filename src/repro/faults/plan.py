@@ -10,7 +10,7 @@ churns, how long until the disconnect) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
@@ -209,10 +209,6 @@ class FaultPlan:
                     )
                 )
             seen.add(key)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same schedule under a different fault seed."""
-        return replace(self, seed=seed)
 
     # -- presets -----------------------------------------------------------
 

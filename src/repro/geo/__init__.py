@@ -17,10 +17,8 @@ from repro.geo.countries import (
     Country,
     IncomeGroup,
     country,
-    country_codes,
-    super_proxy_countries,
 )
-from repro.geo.cities import CITIES, City, city
+from repro.geo.cities import CITIES, City
 from repro.geo.ipalloc import IpAllocator
 from repro.geo.geolocate import GeolocationService
 
@@ -33,9 +31,6 @@ __all__ = [
     "IncomeGroup",
     "IpAllocator",
     "LatLon",
-    "city",
     "country",
-    "country_codes",
     "geodesic_km",
-    "super_proxy_countries",
 ]

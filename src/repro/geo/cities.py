@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.geo.coords import LatLon
 
-__all__ = ["CITIES", "City", "city", "cities_in_country"]
+__all__ = ["CITIES", "City", "cities_in_country"]
 
 
 @dataclass(frozen=True)
@@ -279,14 +279,6 @@ CITIES: Dict[str, City] = {entry.key: entry for entry in _RAW}
 
 if len(CITIES) != len(_RAW):  # pragma: no cover - data sanity
     raise RuntimeError("duplicate city keys in city table")
-
-
-def city(key: str) -> City:
-    """Look up a city by slug key."""
-    try:
-        return CITIES[key]
-    except KeyError:
-        raise KeyError("unknown city key: {!r}".format(key)) from None
 
 
 def cities_in_country(country_code: str) -> List[City]:

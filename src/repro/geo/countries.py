@@ -24,7 +24,7 @@ from per-country analyses exactly as the paper's 25 exclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.geo.coords import LatLon
 
@@ -34,8 +34,6 @@ __all__ = [
     "IncomeGroup",
     "SUPER_PROXY_COUNTRIES",
     "country",
-    "country_codes",
-    "super_proxy_countries",
 ]
 
 
@@ -87,10 +85,6 @@ class Country:
     def fast_internet(self) -> bool:
         """FCC "fast Internet" definition used by the paper (>25 Mbps)."""
         return self.bandwidth_mbps > 25.0
-
-    @property
-    def has_super_proxy(self) -> bool:
-        return self.code in SUPER_PROXY_COUNTRIES
 
 
 def _c(
@@ -388,13 +382,3 @@ def country(code: str) -> Country:
         return COUNTRIES[code.upper()]
     except KeyError:
         raise KeyError("unknown country code: {!r}".format(code)) from None
-
-
-def country_codes() -> List[str]:
-    """All known country codes, sorted."""
-    return sorted(COUNTRIES)
-
-
-def super_proxy_countries() -> Tuple[str, ...]:
-    """The 11 countries hosting BrightData super-proxy servers."""
-    return SUPER_PROXY_COUNTRIES

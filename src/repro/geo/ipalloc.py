@@ -13,7 +13,7 @@ globally routable, only on /24 → country being well defined.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["IpAllocator", "prefix_of", "parse_ipv4", "format_ipv4"]
 
@@ -64,7 +64,6 @@ class IpAllocator:
         self._country_index: Dict[str, int] = {}
         self._next_subnet: Dict[str, int] = {}
         self._next_host: Dict[Tuple[str, int], int] = {}
-        self._owner_by_subnet: Dict[int, str] = {}
 
     def _country_base(self, country_code: str) -> int:
         code = country_code.upper()
@@ -87,9 +86,7 @@ class IpAllocator:
                 "country {} exhausted its {} /24 subnets".format(code, max_subnets)
             )
         self._next_subnet[code] = subnet + 1
-        network = base + (subnet << 8)
-        self._owner_by_subnet[network] = code
-        return network
+        return base + (subnet << 8)
 
     def allocate(self, country_code: str, new_subnet: bool = False) -> str:
         """Allocate the next address in *country_code*.
@@ -113,15 +110,3 @@ class IpAllocator:
             host = 1
         self._next_host[key] = host + 1
         return format_ipv4(network + host)
-
-    def owner_of(self, address: str) -> Optional[str]:
-        """The country that owns *address*'s /24, or None if unknown."""
-        network = parse_ipv4(address) & 0xFFFFFF00
-        return self._owner_by_subnet.get(network)
-
-    def known_subnets(self) -> List[Tuple[str, str]]:
-        """All reserved subnets as ``(prefix, country_code)`` pairs."""
-        return [
-            (format_ipv4(network) + "/24", code)
-            for network, code in sorted(self._owner_by_subnet.items())
-        ]

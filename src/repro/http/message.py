@@ -9,7 +9,7 @@ exercised against a real parser rather than dictionaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 __all__ = ["HeaderBag", "HttpError", "HttpRequest", "HttpResponse", "Status"]
 
@@ -84,15 +84,6 @@ class HeaderBag:
         if lowered in lower:
             return self._items[lower.index(lowered)][1]
         return default
-
-    def get_all(self, name: str) -> List[str]:
-        """Every value of *name*, in order."""
-        lowered = name.lower()
-        return [
-            item[1]
-            for low, item in zip(self._lower, self._items)
-            if low == lowered
-        ]
 
     def remove(self, name: str) -> None:
         """Drop all values of *name*.

@@ -37,23 +37,21 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes, *, fsync: bool = True) -> str:
+def atomic_write_bytes(path: str, data: bytes) -> str:
     """Atomically replace *path* with *data*; returns *path*."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         handle.write(data)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
-    if fsync:
-        fsync_directory(os.path.dirname(path))
+    fsync_directory(os.path.dirname(path))
     return path
 
 
-def atomic_write_text(path: str, text: str, *, fsync: bool = True) -> str:
+def atomic_write_text(path: str, text: str) -> str:
     """Atomically replace *path* with UTF-8 *text*; returns *path*."""
-    return atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(
@@ -63,7 +61,6 @@ def atomic_write_json(
     indent: int = None,
     sort_keys: bool = False,
     trailing_newline: bool = False,
-    fsync: bool = True,
 ) -> str:
     """Atomically write *obj* as JSON to *path*; returns *path*.
 
@@ -74,4 +71,4 @@ def atomic_write_json(
     text = json.dumps(obj, indent=indent, sort_keys=sort_keys)
     if trailing_newline:
         text += "\n"
-    return atomic_write_text(path, text, fsync=fsync)
+    return atomic_write_text(path, text)

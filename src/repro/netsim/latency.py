@@ -171,16 +171,15 @@ class LatencyModel:
         probability = src.loss_rate + dst.loss_rate
         return rng.random() < probability
 
-    def expected_rtt_ms(
-        self, src: "SiteProfile", dst: "SiteProfile", nbytes: int = 100
-    ) -> float:
-        """Jitter-free round-trip estimate (used for RTO seeding)."""
+    def expected_rtt_ms(self, src: "SiteProfile", dst: "SiteProfile") -> float:
+        """Jitter-free round-trip estimate of a 100-byte segment (used
+        for RTO seeding)."""
         # base_ms already holds overhead + propagation + transit once;
         # a round trip pays each of those twice.
         return (
             2.0 * self.base_ms(src, dst)
             + 2.0 * (src.last_mile_ms + dst.last_mile_ms)
-            + self.serialization_ms(src, nbytes)
-            + self.serialization_ms(dst, nbytes)
+            + self.serialization_ms(src, 100)
+            + self.serialization_ms(dst, 100)
         )
 

@@ -104,10 +104,6 @@ class Network:
             raise NetworkError("VIP collides with a unicast host: {}".format(vip))
         self._anycast[vip] = selector
 
-    def is_anycast(self, ip: str) -> bool:
-        """Whether *ip* is a registered anycast VIP."""
-        return ip in self._anycast
-
     def resolve_destination(self, src: Host, dst_ip: str) -> str:
         """Map *dst_ip* to a concrete host address for *src*.
 
@@ -144,7 +140,6 @@ class Network:
         deliver: Callable[[], None],
         channel: int = 0,
         reliable: bool = True,
-        extra_delay_ms: float = 0.0,
     ) -> Optional[float]:
         """Schedule *deliver* to run when the message reaches *dst_ip*.
 
@@ -197,7 +192,6 @@ class Network:
         min_delay = params.min_delay_ms
         if delay <= min_delay:
             delay = min_delay
-        delay += extra_delay_ms
         lost = rng.random() < loss_sum
         burst = self.burst_loss
         if burst is not None:

@@ -290,13 +290,14 @@ class TcpConnection:
         """
         return self._mailbox.pop(timeout_ms, _peer_closed, unwrap=True)
 
-    def recv_sized(self, timeout_ms: Optional[float] = None) -> Event:
-        """Like :meth:`recv` but yields ``(payload, nbytes)``.
+    def recv_sized(self) -> Event:
+        """Like :meth:`recv` but yields ``(payload, nbytes)``, with no
+        timeout.
 
         Tunnel relays need the original wire size to recharge the next
         leg correctly.
         """
-        return self._mailbox.pop(timeout_ms, _peer_closed)
+        return self._mailbox.pop(None, _peer_closed)
 
     def close(self) -> None:
         """Close this endpoint and notify the peer (FIN)."""

@@ -16,8 +16,9 @@ The cardinal invariant: observability **observes, never perturbs**.
 No recorder or registry ever draws from a simulation RNG stream or
 yields to the kernel, so the exported dataset is byte-identical with
 observability on or off (``tests/obs/test_determinism.py`` enforces
-this).  With observability off (the default), every hook is a single
-``None`` check or an early return.
+this).  Observability is off when a campaign holds no
+:class:`Observability` (``obs is None``, the default); every hook is
+then a single ``None`` check.
 """
 
 from repro.obs.collect import collect_world_metrics
@@ -62,6 +63,6 @@ class Observability:
 
     __slots__ = ("trace", "metrics")
 
-    def __init__(self, traces: bool = True, metrics: bool = True) -> None:
-        self.trace = TraceRecorder(enabled=traces)
-        self.metrics = MetricsRegistry(enabled=metrics)
+    def __init__(self) -> None:
+        self.trace = TraceRecorder()
+        self.metrics = MetricsRegistry()

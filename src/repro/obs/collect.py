@@ -23,9 +23,6 @@ __all__ = ["collect_world_metrics"]
 
 def collect_world_metrics(world, metrics: MetricsRegistry) -> None:
     """Scrape *world*'s counters into *metrics* (idempotent)."""
-    if not metrics.enabled:
-        return
-
     # -- simulator kernel --------------------------------------------------
     sim = world.sim
     metrics.set_counter("sim.events_scheduled", sim.events_scheduled)

@@ -14,8 +14,8 @@ is **order-independent and deterministic**:
   merging adds buckets.  Shards are always folded in shard-index
   order, so float sums associate identically on every run.
 
-A disabled registry (``enabled=False``) early-returns from every
-mutator — the zero-cost-off contract.
+A registry always records; observability is off when a campaign holds
+no :class:`~repro.obs.Observability` at all (``obs is None``).
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ class Histogram:
 class MetricsRegistry:
     """Named counters, gauges and histograms."""
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_histograms")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Number] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -117,34 +116,25 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: Number = 1) -> None:
         """Increment counter *name* by *amount*."""
-        if not self.enabled:
-            return
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_counter(self, name: str, value: Number) -> None:
         """Set counter *name* to an absolute total (idempotent scrape)."""
-        if not self.enabled:
-            return
         self._counters[name] = value
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge *name* (merge takes the max across registries)."""
-        if not self.enabled:
-            return
         self._gauges[name] = float(value)
 
-    def observe(self, name: str, value: float,
-                bounds: Tuple[float, ...] = DEFAULT_BOUNDS) -> None:
+    def observe(self, name: str, value: float) -> None:
         """Add one observation to histogram *name*."""
-        if not self.enabled:
-            return
         if not math.isfinite(value):
             raise ValueError(
                 "non-finite observation for {!r}: {!r}".format(name, value)
             )
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds)
+            histogram = self._histograms[name] = Histogram()
         histogram.observe(value)
 
     # -- accessors --------------------------------------------------------

@@ -131,16 +131,13 @@ class SampleTrace:
 class TraceRecorder:
     """Collects :class:`SampleTrace` records during a campaign.
 
-    A disabled recorder (``enabled=False``) turns every ``record_*``
-    call into an early return — the zero-cost-off contract.  Raw
-    records are *read*, never written; the recorder cannot perturb the
-    simulation.
+    Raw records are *read*, never written; the recorder cannot perturb
+    the simulation.
     """
 
-    __slots__ = ("enabled", "_traces")
+    __slots__ = ("_traces",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._traces: Dict[TraceKey, SampleTrace] = {}
 
     # -- capture ----------------------------------------------------------
@@ -152,8 +149,6 @@ class TraceRecorder:
         (between T_C and T_D); None when the measurement failed before
         the handshake completed.
         """
-        if not self.enabled:
-            return
         events: List[PhaseEvent] = [
             PhaseEvent("tunnel_setup", "client", raw.t_a, raw.t_b - raw.t_a),
         ]
@@ -179,8 +174,6 @@ class TraceRecorder:
 
     def record_do53(self, raw) -> None:
         """Capture a :class:`~repro.core.timeline.Do53Raw`'s timeline."""
-        if not self.enabled:
-            return
         dns_source = "exit" if raw.resolved_at == "exit" else "superproxy"
         events = self._header_events(raw.headers, dns_source=dns_source)
         self._store(SampleTrace(

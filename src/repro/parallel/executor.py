@@ -302,7 +302,7 @@ def run_parallel_campaign(
 
     result = merge_shard_results(config, shard_results, atlas_samples)
     if checkpoint is not None:
-        checkpoint.record_run(
+        checkpoint.complete(
             {
                 "workers": workers,
                 "units": [
@@ -317,7 +317,6 @@ def run_parallel_campaign(
                 ],
             }
         )
-        checkpoint.mark_complete()
     return result
 
 

@@ -60,6 +60,10 @@ _IDLE_POLL_S = 5.0
 #: and watchdog deadlines are re-checked.
 _RESULT_POLL_S = 0.05
 
+#: How long a stopping worker gets to exit before it is escalated
+#: (shutdown sentinel → terminate → kill).
+_GRACE_S = 2.0
+
 
 class PoolError(RuntimeError):
     """The pool itself (not a task) failed."""
@@ -155,11 +159,10 @@ class WarmWorkerPool:
     (see :class:`~repro.parallel.worker.WarmWorld`).
     """
 
-    def __init__(self, workers: int, grace_s: float = 2.0) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.grace_s = grace_s
         self._context = multiprocessing.get_context("spawn")
         self._result_q = self._context.Queue()
         self._handles: List[_WorkerHandle] = []
@@ -202,13 +205,13 @@ class WarmWorkerPool:
             process.terminate()
         except Exception:
             pass
-        process.join(self.grace_s)
+        process.join(_GRACE_S)
         if process.is_alive():
             try:
                 process.kill()
             except Exception:
                 pass
-            process.join(self.grace_s)
+            process.join(_GRACE_S)
 
     def _respawn(self, slot: int) -> _WorkerHandle:
         """Replace the worker in *slot* with a fresh process."""
@@ -381,7 +384,7 @@ class WarmWorkerPool:
                 handle.task_q.put(None)
             except Exception:
                 pass
-        deadline = time.monotonic() + self.grace_s
+        deadline = time.monotonic() + _GRACE_S
         for handle in self._handles:
             handle.process.join(max(0.0, deadline - time.monotonic()))
         for handle in self._handles:

@@ -220,7 +220,6 @@ def measure_shard(
     nodes: Sequence[ExitNode],
     shard_index: int,
     checkpoint: Optional[MeasureCheckpoint] = None,
-    progress=None,
 ) -> ShardResult:
     """Measure *nodes* with *campaign* and return the outcome as a
     :class:`ShardResult`: Maxmind-validated records with discard
@@ -232,9 +231,7 @@ def measure_shard(
     ``.state``.  The shard worker and ``ckpt extend``'s delta both
     build their result this way.
     """
-    raw_doh, raw_do53 = campaign.measure(
-        nodes, progress, checkpoint=checkpoint
-    )
+    raw_doh, raw_do53 = campaign.measure(nodes, checkpoint=checkpoint)
     world = campaign.world
     kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
     kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)

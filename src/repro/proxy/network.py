@@ -11,7 +11,7 @@ were dropped in 2021).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from repro.geo.coords import LatLon, geodesic_km
@@ -79,12 +79,6 @@ class ProxyNetwork:
         """Countries with at least one (claimed) node, sorted."""
         return sorted(self._by_country)
 
-    def node_count(self, country_code: Optional[str] = None) -> int:
-        """Enrolled nodes, optionally for one claimed country."""
-        if country_code is None:
-            return len(self.nodes)
-        return len(self._by_country.get(country_code.upper(), []))
-
     def select(
         self,
         country_code: str,
@@ -118,10 +112,6 @@ class ProxyNetwork:
         if session_id is not None:
             self._sessions[session_id] = chosen
         return self.nodes[chosen]
-
-    def release_session(self, session_id: str) -> None:
-        """Forget a session's node pinning."""
-        self._sessions.pop(session_id, None)
 
     # -- super proxy routing ---------------------------------------------
 

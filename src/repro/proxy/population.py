@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dns.records import ResourceRecord
 from repro.dns.recursive import RecursiveResolver
-from repro.geo.cities import cities_in_country
+from repro.geo.cities import CITIES, cities_in_country
 from repro.geo.coords import LatLon
 from repro.geo.countries import COUNTRIES, Country, IncomeGroup
 from repro.geo.geolocate import GeolocationService
@@ -303,12 +303,8 @@ _REMOTE_RESOLVER_HUBS = ("london", "miami", "frankfurt", "singaporecity")
 
 
 def _resolver_processing_ms(
-    country: Country,
-    rng: random.Random,
-    quality: Optional[float] = None,
+    country: Country, rng: random.Random, quality: float
 ) -> float:
-    if quality is None:
-        quality = country_resolver_quality(country.code)
     base = (1.2 + 10.0 / math.sqrt(country.bandwidth_mbps))
     base *= quality
     return base * rng.lognormvariate(0.0, 0.4)
@@ -361,33 +357,24 @@ def build_population(
     proxy_network: ProxyNetwork,
     censorship: CensorshipPolicy,
     config: PopulationConfig,
+    plan,
     warm_records: Sequence[ResourceRecord] = (),
     provider_records: Mapping[str, Sequence[ResourceRecord]] = {},
-    plan=None,
 ) -> PopulationResult:
     """Create every exit node, ISP resolver and enrolment record.
+
+    *plan* is the :class:`repro.core.plan.WorldPlan` fitted for
+    *config*: the per-country client counts, resolver-quality
+    multipliers and remote-resolver hub choices.
 
     *warm_records* seed every resolver's cache (root hints and TLD
     delegations — what any live resolver holds); *provider_records*
     maps provider domains to their A records, pre-cached with
     probability ``config.provider_warm_prob`` per resolver (popular
     names are usually warm in ISP caches).
-
-    *plan*, if given, is a :class:`repro.core.plan.WorldPlan` carrying
-    the precomputed population fit, resolver-quality multipliers and
-    remote-resolver hub choices.  Every plan value equals what this
-    function derives itself, so the built fleet — and every RNG draw —
-    is identical with or without one; the plan only skips recomputing.
     """
-    if plan is not None:
-        plan.check_population(config)
-        counts = plan.counts
-        quality_map: Optional[Mapping[str, float]] = plan.resolver_quality
-        remote_hubs: Optional[Mapping[str, str]] = plan.remote_hub
-    else:
-        counts = config.scaled_counts()
-        quality_map = None
-        remote_hubs = None
+    plan.check_population(config)
+    counts = plan.counts
     infrastructure: Dict[str, CountryInfrastructure] = {}
     resolver_kind: Dict[str, str] = {}
     nodes: List[ExitNode] = []
@@ -400,26 +387,9 @@ def build_population(
             continue
         infra = CountryInfrastructure(country=country)
         n_resolvers = max(1, min(5, int(round(math.log(2 + country.num_ases)))))
-        country_quality = (
-            quality_map[code] if quality_map is not None else None
-        )
-        if remote_hubs is not None:
-            hub_key = remote_hubs.get(code)
-            remote = hub_key is not None
-            if remote:
-                from repro.geo.cities import CITIES
-
-                hub = CITIES[hub_key]
-        else:
-            remote = country_has_remote_resolvers(code)
-            if remote:
-                from repro.geo.cities import CITIES
-                from repro.geo.coords import geodesic_km
-
-                hub = min(
-                    (CITIES[key] for key in _REMOTE_RESOLVER_HUBS),
-                    key=lambda c: geodesic_km(c.location, country.location),
-                )
+        quality = plan.resolver_quality[code]
+        hub_key = plan.remote_hub.get(code)
+        hub = CITIES[hub_key] if hub_key is not None else None
         for index in range(n_resolvers):
             ip = allocator.allocate(code, new_subnet=True)
             host = network.add_host(
@@ -428,17 +398,15 @@ def build_population(
                 resolver_site_for(
                     country,
                     rng,
-                    location=hub.location if remote else None,
-                    site_country=hub.country_code if remote else None,
+                    location=hub.location if hub is not None else None,
+                    site_country=hub.country_code if hub is not None else None,
                 ),
             )
             resolver = RecursiveResolver(
                 host,
                 list(root_servers),
                 rng,
-                processing_ms=_resolver_processing_ms(
-                    country, rng, quality=country_quality
-                ),
+                processing_ms=_resolver_processing_ms(country, rng, quality),
             )
             _warm_resolver(resolver, warm_records, provider_records,
                            config.provider_warm_prob, rng)
@@ -469,9 +437,7 @@ def build_population(
             continue
         infra = infrastructure[code]
         blocked = censorship.blocked_hosts_for(code)
-        country_quality = (
-            quality_map[code] if quality_map is not None else None
-        )
+        quality = plan.resolver_quality[code]
         for index in range(n_nodes):
             ip = allocator.allocate(code, new_subnet=True)
             site = client_site_for(country, rng)
@@ -480,8 +446,7 @@ def build_population(
             )
             geolocation.register(ip, code, site.location)
             kind, resolver_ip = choose_default_resolver(
-                code, infra, infrastructure, rng, config,
-                quality=country_quality,
+                code, infra, infrastructure, rng, config, quality
             )
             claimed = code
             if rng.random() < config.mislabel_rate:
@@ -531,17 +496,17 @@ def choose_default_resolver(
     all_infra: Dict[str, CountryInfrastructure],
     rng: random.Random,
     config: PopulationConfig,
-    quality: Optional[float] = None,
+    quality: float,
 ) -> Tuple[str, str]:
     """Pick a node's default resolver; returns (kind, resolver_ip).
 
-    In countries with nationally poor resolver deployments (quality
-    multiplier well above 1) a much larger share of clients sits behind
-    slow resolvers — these are the countries the paper finds benefiting
-    from a switch to DoH (e.g. Brazil, Indonesia).
+    *quality* is the country's resolver-quality multiplier
+    (:func:`country_resolver_quality`).  In countries with nationally
+    poor resolver deployments (multiplier well above 1) a much larger
+    share of clients sits behind slow resolvers — these are the
+    countries the paper finds benefiting from a switch to DoH (e.g.
+    Brazil, Indonesia).
     """
-    if quality is None:
-        quality = country_resolver_quality(code)
     bad_rate = config.bad_resolver_rate
     if quality >= 2.5:
         bad_rate = min(0.7, bad_rate + 0.1 * quality)

@@ -27,10 +27,10 @@ from typing import Any, Dict, List, Optional
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
     LedgerLoad,
-    LedgerReader,
     LedgerRecord,
     LedgerWriter,
     read_ledger,
+    truncate_ledger,
 )
 
 __all__ = ["JournalCorruptError", "ServiceError", "ServiceJournal"]
@@ -96,7 +96,7 @@ class ServiceJournal:
         load = self.load()
         fresh = not self.records
         if load is not None and (load.dropped_tail or not load.records):
-            LedgerReader.truncate_to(
+            truncate_ledger(
                 self.path, load.clean_bytes if load.records else 0
             )
         self._writer = LedgerWriter(

@@ -46,16 +46,12 @@ class DesignMatrix:
         self,
         categoricals: Sequence[CategoricalSpec] = (),
         continuous: Sequence[str] = (),
-        intercept: bool = True,
     ) -> None:
         self.categoricals = list(categoricals)
         self.continuous = list(continuous)
-        self.intercept = intercept
         self._rows: List[List[float]] = []
         self._targets: List[float] = []
-        self.column_names: List[str] = []
-        if intercept:
-            self.column_names.append("(intercept)")
+        self.column_names: List[str] = ["(intercept)"]
         for spec in self.categoricals:
             for level in spec.dummy_levels:
                 self.column_names.append("{}:{}".format(spec.name, level))
@@ -68,7 +64,7 @@ class DesignMatrix:
         target: float,
     ) -> None:
         """Add one observation."""
-        row: List[float] = [1.0] if self.intercept else []
+        row: List[float] = [1.0]
         for spec in self.categoricals:
             value = categorical_values[spec.name]
             if value not in spec.levels:

@@ -62,11 +62,6 @@ class LinearModel:
         except ValueError:
             raise KeyError("no column named {!r}".format(column)) from None
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Fitted values for the rows of *X*."""
-        return np.asarray(X, dtype=float) @ self.coefficients
-
-
 
 def fit_ols(
     X: np.ndarray,

@@ -54,33 +54,11 @@ class LogisticModel:
         """Fitted log-odds coefficient for *column*."""
         return float(self.coefficients[self._index(column)])
 
-    def odds_ratio_ci(
-        self, column: str, confidence: float = 0.95
-    ) -> Tuple[float, float]:
-        """Wald confidence interval for the odds ratio of *column*."""
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        index = self._index(column)
-        se = self.standard_errors[index]
-        from scipy import stats as scipy_stats
-
-        z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
-        beta = self.coefficients[index]
-        return (
-            float(np.exp(beta - z * se)),
-            float(np.exp(beta + z * se)),
-        )
-
     def _index(self, column: str) -> int:
         try:
             return self.column_names.index(column)
         except ValueError:
             raise KeyError("no column named {!r}".format(column)) from None
-
-    def predict_probability(self, X: np.ndarray) -> np.ndarray:
-        """P(y=1 | x) for rows of *X*."""
-        return _sigmoid(np.asarray(X, dtype=float) @ self.coefficients)
-
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ order and bytes, delta records append in canonical order.
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core.config import ReproConfig
 from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
-from tests.ckpt.conftest import read_manifest
+from tests.ckpt.conftest import read_manifest, runner_env
 
 BASE_CONFIG = ReproConfig(
     seed=424, population=PopulationConfig(scale=0.005), batch_size=25
@@ -184,3 +186,27 @@ class TestGuards:
         merged = dataset.merge(overlapping)
         assert len(merged.clients) == len(dataset.clients)
         assert merged.doh == dataset.doh
+
+
+@pytest.mark.parametrize("axis,problem", [
+    (["--scale", "0.006"], "adds no exit node"),
+    (["--provider", "cloudflare"], "already in the base campaign"),
+    (["--provider", "nxdomain-dns"], "unknown provider"),
+    ([], "exactly one extension axis"),
+], ids=["scale-adds-no-node", "existing-provider", "unknown-provider",
+        "no-axis"])
+def test_cli_names_a_rejected_extension(base, tmp_path, axis, problem):
+    directory, dataset = base
+    dataset_path = str(tmp_path / "base.json")
+    dataset.save(dataset_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "ckpt", "extend", directory,
+         "--dataset", dataset_path, "--out", str(tmp_path / "out.json")]
+        + axis,
+        capture_output=True, text=True, env=runner_env(), timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "repro ckpt extend: error: " in proc.stderr
+    assert problem in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()

@@ -7,9 +7,9 @@ import pytest
 
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
-    LedgerReader,
     LedgerWriter,
     read_ledger,
+    truncate_ledger,
 )
 from repro.core.campaign import NodeFailure
 from repro.parallel.wirepack import pack_samples
@@ -69,7 +69,7 @@ class TestTornTail:
         with open(path, "ab") as handle:
             handle.write(b"garbage after a crash")
         load = read_ledger(str(path))
-        LedgerReader.truncate_to(str(path), load.clean_bytes)
+        truncate_ledger(str(path), load.clean_bytes)
         reload = read_ledger(str(path))
         assert not reload.dropped_tail
         assert reload.records == load.records

@@ -1,9 +1,9 @@
 """Do53 extraction and validity-rule tests (§3.3, §3.5)."""
 
-import pytest
-
-from repro.core.do53_timing import do53_time, do53_valid
+from repro.core.do53_timing import do53_valid
 from repro.core.timeline import Do53Raw
+from repro.dataset.builder import DatasetBuilder
+from repro.geo.geolocate import GeolocationService
 from repro.proxy.headers import TimelineHeaders
 
 
@@ -39,10 +39,7 @@ class TestValidity:
 
 class TestExtraction:
     def test_time_of_valid_sample(self):
-        assert do53_time(raw(dns_ms=88.5)) == 88.5
-
-    def test_time_of_invalid_sample_raises(self):
-        with pytest.raises(ValueError):
-            do53_time(raw(country="US"))
-        with pytest.raises(ValueError):
-            do53_time(raw(resolved_at="superproxy"))
+        builder = DatasetBuilder(GeolocationService())
+        builder.add_do53(raw(dns_ms=88.5))
+        (sample,) = builder.dataset.do53
+        assert sample.time_ms == 88.5 and sample.valid

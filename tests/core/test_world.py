@@ -8,8 +8,12 @@ from repro.geo.countries import SUPER_PROXY_COUNTRIES
 
 class TestTopology:
     def test_root_and_tld_anycast_registered(self, small_world):
-        assert small_world.network.is_anycast(ROOT_VIP)
-        assert small_world.network.is_anycast(TLD_VIP)
+        client = small_world.client_host
+        roots = {server.host.ip for server in small_world.root_servers}
+        tlds = {server.host.ip for server in small_world.tld_servers}
+        network = small_world.network
+        assert network.resolve_destination(client, ROOT_VIP) in roots
+        assert network.resolve_destination(client, TLD_VIP) in tlds
 
     def test_six_root_instances(self, small_world):
         assert len(small_world.root_servers) == 6

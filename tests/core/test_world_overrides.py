@@ -62,11 +62,6 @@ class TestConfigPlumbing:
         world = build_world(config)
         assert set(world.providers) == {"cloudflare", "google"}
 
-    def test_small_constructor(self):
-        config = ReproConfig.small(scale=0.33, seed=9)
-        assert config.population.scale == 0.33
-        assert config.seed == 9
-
     def test_geolocation_error_rate_plumbed(self):
         config = _config(seed=59, geolocation_error_rate=0.3)
         world = build_world(config)

@@ -67,19 +67,10 @@ class TestStructure:
     def test_sibling_not_subdomain(self):
         assert not DomainName("b.com").is_subdomain_of(DomainName("a.com"))
 
-    def test_relativize(self):
-        assert DomainName("x.y.a.com").relativize(DomainName("a.com")) == (
-            "x", "y",
-        )
-
-    def test_relativize_outside_zone_raises(self):
-        with pytest.raises(NameError_):
-            DomainName("x.b.com").relativize(DomainName("a.com"))
-
     def test_wildcard(self):
-        assert DomainName("*.a.com").is_wildcard
-        assert not DomainName("a.com").is_wildcard
-        assert DomainName("x.a.com").wildcard_of() == DomainName("*.a.com")
+        # How Zone.lookup names the wildcard at the closest encloser.
+        assert DomainName("a.com").child("*") == DomainName("*.a.com")
+        assert DomainName("*.a.com").labels[0] == "*"
 
     def test_immutability(self):
         name = DomainName("a.com")

@@ -118,9 +118,6 @@ class TestMisc:
         with pytest.raises(ZoneError):
             zone.add_record("other.org", RRType.A, ARecord("1.1.1.1"))
 
-    def test_record_count(self, zone):
-        assert zone.record_count() == 5  # SOA + 4 added
-
     def test_cname_answers_any_type(self):
         from repro.dns.records import CNAMERecord
 

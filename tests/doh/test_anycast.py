@@ -94,10 +94,3 @@ class TestAssignment:
             for i in range(300)
         }
         assert {3, 4, 5} & picks  # NY/Tokyo/Sydney get hit
-
-    def test_distance_miles_property(self):
-        policy = AnycastPolicy(nearest_prob=1.0, far_prob=0.0)
-        assignment = policy.assign(LatLon(48.9, 2.4), POPS, "p:x")
-        assert assignment.distance_miles == pytest.approx(
-            assignment.distance_km / 1.609344
-        )

@@ -1,6 +1,6 @@
 """Provider PoP table tests — the paper's observed footprints."""
 
-from repro.doh.pops import PROVIDER_NAMES, PROVIDER_POPS, pop_cities
+from repro.doh.pops import PROVIDER_NAMES, PROVIDER_POPS
 from repro.geo.cities import CITIES
 from repro.geo.countries import COUNTRIES
 
@@ -70,13 +70,15 @@ class TestGeography:
 
 class TestAccessor:
     def test_pop_cities_resolves(self):
-        cities = pop_cities("google")
-        assert len(cities) == 26
-        assert all(c.key in PROVIDER_POPS["google"] for c in cities)
+        cities = [CITIES[key] for key in PROVIDER_POPS["google"]]
+        assert len({c.key for c in cities}) == 26
 
-    def test_case_insensitive(self):
-        assert pop_cities("CloudFlare") == pop_cities("cloudflare")
+    def test_case_insensitive(self, small_world):
+        # Provider names are looked up case-insensitively.
+        assert small_world.provider("CloudFlare") is small_world.provider(
+            "cloudflare"
+        )
 
-    def test_unknown_provider(self):
+    def test_unknown_provider(self, small_world):
         with pytest.raises(KeyError):
-            pop_cities("opendns")
+            small_world.provider("opendns")

@@ -21,8 +21,12 @@ class TestDeployment:
             )
 
     def test_vip_registered_as_anycast(self, small_world):
+        client = small_world.client_host
         for name, provider in small_world.providers.items():
-            assert small_world.network.is_anycast(provider.config.vip)
+            concrete = small_world.network.resolve_destination(
+                client, provider.config.vip
+            )
+            assert concrete in {pop.host.ip for pop in provider.pops}
 
     def test_pop_hosts_are_datacenters(self, small_world):
         provider = small_world.provider("cloudflare")
@@ -50,7 +54,10 @@ class TestRouting:
         provider = small_world.provider("quad9")
         client = small_world.client_host
         assignment = provider.assignment_for(client)
-        assert provider.pop_for(client) is provider.pops[assignment.pop_index]
+        concrete = small_world.network.resolve_destination(
+            client, provider.config.vip
+        )
+        assert concrete == provider.pops[assignment.pop_index].host.ip
 
 
 class TestResolutionService:

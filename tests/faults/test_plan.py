@@ -104,8 +104,9 @@ class TestComponentValidation:
 
 class TestFaultPlan:
     def test_with_seed_keeps_schedule(self):
-        plan = FaultPlan.chaos(seed=1)
-        reseeded = plan.with_seed(9)
+        # --fault-seed changes the seed, never the schedule.
+        plan = FaultPlan.from_preset("chaos", seed=1)
+        reseeded = FaultPlan.from_preset("chaos", seed=9)
         assert reseeded.seed == 9
         assert reseeded.node_churn == plan.node_churn
         assert reseeded.provider_outages == plan.provider_outages

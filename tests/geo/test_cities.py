@@ -1,8 +1,6 @@
 """City table tests."""
 
-import pytest
-
-from repro.geo.cities import CITIES, cities_in_country, city
+from repro.geo.cities import CITIES, cities_in_country
 from repro.geo.countries import COUNTRIES
 
 
@@ -32,11 +30,7 @@ class TestTable:
 
 class TestAccessors:
     def test_lookup(self):
-        assert city("london").country_code == "GB"
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            city("atlantis")
+        assert CITIES["london"].country_code == "GB"
 
     def test_cities_in_country(self):
         usa = cities_in_country("US")

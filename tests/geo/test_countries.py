@@ -6,9 +6,8 @@ from repro.geo.countries import (
     COUNTRIES,
     IncomeGroup,
     SUPER_PROXY_COUNTRIES,
+    _RAW,
     country,
-    country_codes,
-    super_proxy_countries,
 )
 
 
@@ -78,17 +77,17 @@ class TestAccessors:
             country("ZZ")
 
     def test_country_codes_sorted_unique(self):
-        codes = country_codes()
-        assert codes == sorted(set(codes))
+        # No code appears twice in the table (COUNTRIES would keep one).
+        codes = [entry.code for entry in _RAW]
+        assert sorted(codes) == sorted(set(codes)) == sorted(COUNTRIES)
 
     def test_super_proxy_accessor(self):
-        assert super_proxy_countries() == SUPER_PROXY_COUNTRIES
+        # Each of the 11 countries once: the set comparison in
+        # test_super_proxy_list_matches_paper would hide a repeat.
+        assert len(SUPER_PROXY_COUNTRIES) == len(set(SUPER_PROXY_COUNTRIES))
+        assert len(SUPER_PROXY_COUNTRIES) == 11
 
     def test_fast_internet_threshold(self):
         # FCC definition: > 25 Mbps (§6.2.1).
         assert country("SG").fast_internet
         assert not country("TD").fast_internet
-
-    def test_has_super_proxy_property(self):
-        assert country("US").has_super_proxy
-        assert not country("BR").has_super_proxy

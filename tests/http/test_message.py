@@ -26,7 +26,7 @@ class TestHeaderBag:
     def test_set_replaces_all(self):
         bag = HeaderBag([("X", "1"), ("x", "2")])
         bag.set("X", "3")
-        assert bag.get_all("x") == ["3"]
+        assert list(bag) == [("X", "3")]
 
     def test_remove(self):
         bag = HeaderBag([("X", "1")])

@@ -101,6 +101,9 @@ class TestAnycast:
             network.resolve_destination(client, "10.53.9.1")
 
     def test_is_anycast(self, network):
+        # A query to a registered VIP goes to the instance the selector
+        # picks; any other address is delivered as addressed.
+        client = network.add_host("c", "20.0.0.2", residential_site())
         network.register_anycast("10.53.9.9", lambda src: "20.0.0.1")
-        assert network.is_anycast("10.53.9.9")
-        assert not network.is_anycast("20.0.0.1")
+        assert network.resolve_destination(client, "10.53.9.9") == "20.0.0.1"
+        assert network.resolve_destination(client, "20.0.0.1") == "20.0.0.1"

@@ -71,17 +71,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             metrics.observe("h", math.inf)
 
-    def test_disabled_registry_records_nothing(self):
-        metrics = MetricsRegistry(enabled=False)
-        metrics.inc("a")
-        metrics.set_counter("b", 3)
-        metrics.set_gauge("g", 1.0)
-        metrics.observe("h", 5.0)
-        assert len(metrics) == 0
-        assert metrics.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
     def test_merge_sums_counters_maxes_gauges(self):
         a = MetricsRegistry()
         b = MetricsRegistry()

@@ -80,12 +80,6 @@ class TestRecording:
         assert trace.event("exit_dns").duration_ms == 55.0
         assert trace.event("exit_dns").source == "exit"
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = TraceRecorder(enabled=False)
-        recorder.record_doh(_doh_raw(), t_handshake_ms=260.0)
-        recorder.record_do53(_do53_raw())
-        assert len(recorder) == 0
-
     def test_keys_are_canonically_sorted(self):
         recorder = TraceRecorder()
         recorder.record_doh(_doh_raw(node_id="B-1"), t_handshake_ms=260.0)

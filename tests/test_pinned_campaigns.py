@@ -1,12 +1,13 @@
-"""Two small ``repro campaign`` command lines against recorded digests.
+"""Small ``repro`` command lines against recorded digests.
 
 Byte-identity is otherwise checked run against run (workers 1 vs 4,
 observe on vs off, killed vs uninterrupted), which a change that shifts
-every run the same way passes.  These digests pin the serial path and
-a sharded chaos run with traces, so such a change fails here.  A change
-that means to alter measured bytes updates the constants below and says
+every run the same way passes.  These digests pin the serial path, a
+sharded chaos run with traces and the ground-truth validation
+(the paper's Tables 1-2), so such a change fails here.  A change that
+means to alter measured bytes updates the constants below and says
 why.  Digests are BLAKE2b-128 of the whole file, as
-``perfbench/gate.py`` computes them.
+``perfbench/gate.py`` computes them, or of the printed output.
 """
 
 import hashlib
@@ -24,6 +25,9 @@ CHAOS_ARGS = [
 ]
 CHAOS_DATASET = "3fae0124e85ef89799128e3413632e08"
 CHAOS_TRACES = "44f7c5a029b720a63089da158da9e144"
+
+#: ``repro groundtruth`` at its defaults (scale 0.01, 10 repetitions).
+GROUNDTRUTH_STDOUT = "08aef91a5d0ea6ecd2d1f184b6a7a89f"
 
 
 def file_digest(path: str) -> str:
@@ -52,3 +56,11 @@ def test_campaign_bytes_match_the_pins(tmp_path, args, pinned):
         suffix: file_digest(base + suffix + ".json") for suffix in pinned
     }
     assert digests == pinned
+
+
+def test_groundtruth_output_matches_the_pin(capsys):
+    assert main(["groundtruth"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.blake2b(out, digest_size=16).hexdigest() == (
+        GROUNDTRUTH_STDOUT
+    )
